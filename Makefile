@@ -1,12 +1,12 @@
 # Development targets for the dsm96 simulator. `make check` is the
-# pre-commit gate: formatting, vet, build, the full test suite, and the
-# race detector over the packages that exercise goroutine handoffs.
+# pre-commit gate: formatting, vet, build, the full test suite, the race
+# detector over the whole tree, and one pass of the repo benchmark.
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-snapshot golden fuzz docs timeline metricsdiff chaos profiles experiments trend render trend-snapshot obsparity serve
+.PHONY: check fmt vet build test race benchcheck bench-snapshot golden fuzz docs timeline metricsdiff chaos profiles experiments trend render trend-snapshot obsparity serve
 
-check: fmt vet build test race timeline metricsdiff chaos profiles experiments obsparity serve trend docs
+check: fmt vet build test race benchcheck timeline metricsdiff chaos profiles experiments obsparity serve trend docs
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -21,16 +21,21 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine couples each simulated processor to a goroutine, and the
-# parallel engine runs shard workers on real OS threads: the race
+# The engine runs each simulated processor as a runtime coroutine that
+# the parallel engine's shard workers resume from their own OS threads,
+# and the job server runs simulations on a worker pool: the race
 # detector over the whole tree (short mode trims the heavyweight app
 # inputs) is the cheapest way to catch an accidental shared write.
 race:
 	$(GO) test -race -short ./...
 
-# Engine throughput benchmark (see EXPERIMENTS.md for the methodology).
-bench:
-	$(GO) test -run '^$$' -bench BenchmarkEngineEventsPerSec -benchtime 20x -count 3 .
+# The repo benchmark's own tests (benchmark/, a separate module): one
+# pass of every workload, checking each cell's schedule against its
+# warm-up run and the digest against a fresh process. An engine change
+# that perturbs a schedule fails here. Measuring speed is
+# `bash benchmark/run.sh` (see EXPERIMENTS.md, "Engine throughput").
+benchcheck:
+	cd benchmark && $(GO) test -short ./...
 
 # Parallel-engine scaling snapshot: events/sec across 64/128/256-node
 # meshes at 1/2/4/8 engine workers, written to BENCH_parallel_engine.json

@@ -162,36 +162,6 @@ func BenchmarkFig16MemoryBandwidth(b *testing.B) {
 	}, "MB/s")
 }
 
-// BenchmarkEngineEventsPerSec measures the discrete-event core's raw
-// throughput: simulation events fired per second of wall time, on
-// fixed-size (ScaleTiny) runs of Radix and Ocean under base TreadMarks.
-// This is the engine fast-path regression benchmark — compare events/sec
-// across engine changes (the fired event stream itself is pinned by
-// TestGoldenCycles, so the divisor is constant for a given app).
-func BenchmarkEngineEventsPerSec(b *testing.B) {
-	for _, name := range []string{"radix", "ocean"} {
-		b.Run(name, func(b *testing.B) {
-			var events, handoffs, elided uint64
-			for i := 0; i < b.N; i++ {
-				app, err := apps.Tiny(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := core.Run(params.Default(), core.TM(tmk.Base), app)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.EventsRun
-				handoffs += res.EngineStats.Handoffs
-				elided += res.EngineStats.ElidedParks
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/run")
-			b.ReportMetric(float64(elided)/float64(b.N), "elided-parks/run")
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughput measures the simulator itself: simulated
 // cycles per second of wall time for a representative run (useful when
 // assessing whether paper-scale inputs are feasible).

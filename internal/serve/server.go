@@ -227,11 +227,21 @@ func (s *Server) finish(e *jobEntry) {
 // the attempt is abandoned: the goroutine's eventual result goes to a
 // buffered channel nobody reads, and — critically — the store is only
 // ever written by this function's caller after it returns, so a late
-// finisher cannot race a retry's journal transitions.
+// finisher cannot race a retry's journal transitions. A runner panic
+// (a simulated process body's panic surfaces through Engine.Run) is a
+// failed attempt, not a crash of the server.
 func (s *Server) runJob(job *ResolvedJob) (*core.Result, error) {
-	run := s.opts.Run
-	if run == nil {
-		run = runSimulation
+	runner := s.opts.Run
+	if runner == nil {
+		runner = runSimulation
+	}
+	run := func(job *ResolvedJob) (res *core.Result, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				res, err = nil, fmt.Errorf("serve: runner panicked: %v", r)
+			}
+		}()
+		return runner(job)
 	}
 	if s.opts.JobTimeout <= 0 {
 		return run(job)
@@ -311,7 +321,7 @@ func (s *Server) execute(e *jobEntry) {
 	}
 
 	// The attempt failed: a watchdog stall (structured report attached),
-	// a validation mismatch, or the wall-clock ceiling.
+	// a validation mismatch, a runner panic, or the wall-clock ceiling.
 	rec.State = StateFailed
 	rec.Error = "run returned no result"
 	if runErr != nil {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,6 +276,41 @@ func TestServerStallQuarantine(t *testing.T) {
 	}
 	if st2.State != StateQuarantined || runs != 2 {
 		t.Fatalf("quarantined job re-ran: %+v, runs %d", st2, runs)
+	}
+}
+
+// TestServerRunnerPanicQuarantine feeds a runner that always panics, on
+// both the direct path and the JobTimeout goroutine path: each panic
+// must become a failed attempt that retries and then rests quarantined
+// with the panic in its error, instead of crashing the server.
+func TestServerRunnerPanicQuarantine(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprintf("timeout=%s", timeout), func(t *testing.T) {
+			var runs int
+			var mu sync.Mutex
+			_, _, c := newTestServer(t, Options{Workers: 1, MaxAttempts: 2, RetryBase: time.Millisecond,
+				JobTimeout: timeout, Run: func(job *ResolvedJob) (*core.Result, error) {
+					mu.Lock()
+					runs++
+					mu.Unlock()
+					panic("body exploded")
+				}})
+			st, err := c.Submit(tinyJob("tsp", 2), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateQuarantined || st.Attempts != 2 {
+				t.Fatalf("state %s after %d attempts, want quarantined after 2", st.State, st.Attempts)
+			}
+			if !strings.Contains(st.Error, "runner panicked: body exploded") {
+				t.Fatalf("error %q does not carry the panic", st.Error)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if runs != 2 {
+				t.Fatalf("ran %d times, want 2", runs)
+			}
+		})
 	}
 }
 

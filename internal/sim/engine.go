@@ -3,15 +3,15 @@
 // wait conditions.
 //
 // The engine is the substrate for the execution-driven DSM simulator: each
-// simulated computation processor is a Proc (a goroutine coupled to the
-// engine so that exactly one logical thread runs at a time), while
+// simulated computation processor is a Proc (a runtime coroutine coupled
+// to the engine so that exactly one logical thread runs at a time), while
 // protocol controllers, buses, memories, and network links are modelled
 // with Resources and Servers advanced by engine events.
 //
 // Determinism: events at equal times fire in submission order (a strictly
 // increasing sequence number breaks ties), and because at most one
-// goroutine is runnable at any moment, repeated runs of the same program
-// produce bit-identical schedules. Engine.Fingerprint hashes the fired
+// process (or the engine) runs at any moment, repeated runs of the same
+// program produce bit-identical schedules. Engine.Fingerprint hashes the fired
 // (time, seq) stream so tests can assert that property — and so that
 // fast-path rewrites of the queue below can prove they changed nothing.
 package sim
@@ -48,7 +48,6 @@ type Engine struct {
 	seq uint64
 	// events is a d-ary min-heap ordered by (at, seq), stored by value.
 	events  []event
-	handoff chan struct{} // engine parks here while a Proc runs
 	procs   []*Proc
 	stopped bool
 	// limit bounds inline event elision: during RunUntil(t) a process
@@ -83,11 +82,11 @@ type Stats struct {
 	// EventsRun is the number of events fired (including elided wakes,
 	// which fire logically without touching the queue).
 	EventsRun uint64
-	// Handoffs counts engine<->process control transfers (goroutine
-	// round trips): one per park/resume pair and one per process start.
+	// Handoffs counts coroutine resumes, each an engine->process->engine
+	// switch pair: one per park/resume pair and one per process start.
 	Handoffs uint64
 	// ElidedParks counts sleeps satisfied inline because the wake was
-	// provably the next event — each one saved a goroutine round trip.
+	// provably the next event — each one saved a coroutine resume.
 	ElidedParks uint64
 	// MaxHeapDepth is the high-water mark of the pending-event queue.
 	MaxHeapDepth int
@@ -102,7 +101,6 @@ const (
 // NewEngine returns a fresh engine at time zero.
 func NewEngine() *Engine {
 	return &Engine{
-		handoff:     make(chan struct{}),
 		fingerprint: fnvOffset,
 		limit:       math.MaxInt64,
 	}
@@ -248,7 +246,7 @@ func (e *Engine) After(d Time, fn func()) {
 // next event to fire. If so the process may advance the clock inline
 // (via elide) instead of queueing the event and parking — the schedule,
 // sequence numbering, and fingerprint come out bit-identical, but the
-// goroutine round trip through the engine is saved.
+// switch to the engine and back is saved.
 //
 // Any queued event at the same time has a smaller sequence number and
 // would fire first, so equality disqualifies. Elision is also off while
@@ -281,18 +279,27 @@ func (e *Engine) Stop() { e.stopped = true }
 // It returns a *StallError if any processes are still blocked when the
 // event queue drains (a simulated deadlock), or — with SetWatchdog
 // armed — when events keep firing without any process progressing (a
-// livelock).
-func (e *Engine) Run() error {
-	if e.par != nil {
-		if e.sh != nil {
-			panic("sim: Run called on a shard engine")
-		}
-		return e.par.run()
+// livelock). After a stall Run releases the blocked processes, so a
+// stalled engine cannot be run again. A panic in a process body
+// propagates out of Run.
+func (e *Engine) Run() (err error) {
+	if e.sh != nil {
+		panic("sim: Run called on a shard engine")
 	}
 	e.stopped = false
 	e.limit = math.MaxInt64
 	runStart := time.Now()
-	defer func() { e.runWallNS += time.Since(runStart).Nanoseconds() }()
+	defer func() {
+		e.runWallNS += time.Since(runStart).Nanoseconds()
+		for _, p := range e.procs {
+			if err != nil && !p.done && p.stop != nil {
+				p.release() // a process that never started has no coroutine
+			}
+		}
+	}()
+	if e.par != nil {
+		return e.par.run()
+	}
 	watched := e.watchdog > 0
 	for len(e.events) > 0 && !e.stopped {
 		ev := e.pop()
@@ -308,20 +315,7 @@ func (e *Engine) Run() error {
 	if e.stopped {
 		return nil
 	}
-	var blocked []BlockedProc
-	for _, p := range e.procs {
-		if !p.done {
-			blocked = append(blocked, BlockedProc{
-				ID: p.ID, Name: p.Name, Reason: p.blockReason, Since: p.blockedAt,
-			})
-		}
-	}
-	if len(blocked) > 0 {
-		return &StallError{Deadlock: true, Report: StallReport{
-			At: e.now, LastProgress: e.lastProgressAt, Blocked: blocked,
-		}}
-	}
-	return nil
+	return e.deadlock()
 }
 
 // RunUntil executes events with time <= t, then returns. Processes blocked

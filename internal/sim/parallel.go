@@ -241,10 +241,6 @@ func (par *parRuntime) at(e *Engine, t Time, fn func()) {
 // replay rounds until every shard's queue drains or Stop is called.
 func (par *parRuntime) run() error {
 	root := par.root
-	root.stopped = false
-	root.limit = math.MaxInt64
-	runStart := time.Now()
-	defer func() { root.runWallNS += time.Since(runStart).Nanoseconds() }()
 	// Workers live for one Run call: fresh channels each time so Run can
 	// be called again after a drain or a Stop.
 	for _, se := range par.shards {
@@ -316,25 +312,12 @@ func (par *parRuntime) run() error {
 	if root.stopped {
 		return nil
 	}
-	var blocked []BlockedProc
-	for _, p := range root.procs {
-		if !p.done {
-			blocked = append(blocked, BlockedProc{
-				ID: p.ID, Name: p.Name, Reason: p.blockReason, Since: p.blockedAt,
-			})
-		}
-	}
-	if len(blocked) > 0 {
-		return &StallError{Deadlock: true, Report: StallReport{
-			At: root.now, LastProgress: root.lastProgressAt, Blocked: blocked,
-		}}
-	}
-	return nil
+	return root.deadlock()
 }
 
 // shardWorker runs one shard's windows. Each window pops and executes
 // every event strictly before the horizon; the callbacks (and any
-// process goroutines they resume) run with this shard's engine as their
+// process coroutines they resume) run with this shard's engine as their
 // view, touching only shard-owned simulation state.
 func shardWorker(e *Engine) {
 	sh := e.sh

@@ -1,11 +1,16 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a coroutine-style simulated process. Its body runs on its own
-// goroutine, but the engine guarantees that at most one Proc (or the
-// engine itself) executes at any instant: the Proc and the engine hand
-// control back and forth over unbuffered channels.
+// Proc is a coroutine-style simulated process. Its body runs as a Go
+// runtime coroutine (iter.Pull) that the engine resumes and that parks by
+// yielding; each switch hands the thread over directly, bypassing the
+// goroutine scheduler, so at most one Proc (or the engine) runs at a time.
 //
 // All Proc methods that can block (Sleep, WaitOn, Resource.Use, ...) must
 // be called from the Proc's own body.
@@ -14,8 +19,12 @@ type Proc struct {
 	Name string
 
 	eng  *Engine
-	wake chan struct{}
 	done bool
+
+	// The coroutine, bound at start: next resumes, yield parks, stop releases.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// resumeFn is the resume method bound once at construction, so hot
 	// paths (Sleep, Cond wakeups) schedule it without allocating a new
@@ -44,77 +53,90 @@ type Proc struct {
 // reports. On a sequential engine the view is the engine itself.
 func (e *Engine) NewProc(id int, name string, start Time, body func(*Proc)) *Proc {
 	ve := e.View(id)
-	p := &Proc{ID: id, Name: name, eng: ve, wake: make(chan struct{})}
+	p := &Proc{ID: id, Name: name, eng: ve}
 	p.resumeFn = p.resume
 	e.procs = append(e.procs, p)
 	ve.At(start, func() {
-		ve.progressed()
-		go func() {
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			body(p)
-			p.done = true
-			ve.handoff <- struct{}{} // return control to engine forever
-		}()
-		ve.handoffs++
-		<-ve.handoff // wait for the body to park or finish
+		})
+		p.resume()
 	})
 	return p
 }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.done }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
 // park suspends the process until something calls resume. It must only
-// be called from the process's own goroutine.
+// be called from the process's own body.
 func (p *Proc) park(reason string) {
 	p.blockReason = reason
 	p.blockedAt = p.eng.now
 	if p.OnBlock != nil {
 		p.OnBlock(reason)
 	}
-	p.eng.handoff <- struct{}{} // give control back to the engine
-	<-p.wake                    // wait to be resumed
+	if !p.yield(struct{}{}) {
+		panic(released{}) // the engine released this stalled process
+	}
 	if p.OnUnblock != nil {
 		p.OnUnblock(reason, p.eng.now-p.blockedAt)
 	}
 	p.blockReason = ""
 }
 
-// resume restarts a parked process at the current simulated time. It must
-// be called from engine context (inside an event callback).
+// resume restarts a parked process at the current simulated time and
+// returns once it parks again or finishes. It must be called from engine
+// context (inside an event callback). A panic in the body propagates.
 func (p *Proc) resume() {
 	if p.done {
 		panic(fmt.Sprintf("sim: resuming finished proc %s", p.Name))
 	}
 	p.eng.progressed()
 	p.eng.handoffs++
-	p.wake <- struct{}{}
-	<-p.eng.handoff // wait for the proc to park again or finish
+	if _, ok := p.next(); !ok {
+		p.done = true
+	}
+}
+
+type released struct{} // the panic that unwinds a body released after a stall
+
+// release unwinds a parked process so that its coroutine exits.
+func (p *Proc) release() {
+	defer func() {
+		if r := recover(); r != nil && r != (released{}) {
+			panic(r)
+		}
+	}()
+	p.stop()
 }
 
 // Sleep suspends the process for d cycles of simulated time.
-func (p *Proc) Sleep(d Time) {
-	p.SleepReason(d, "sleep")
-}
+func (p *Proc) Sleep(d Time) { p.SleepReason(d, "sleep") }
 
 // SleepReason is Sleep with an accounting label.
 //
 // Fast path: when the wake event would be the very next event to fire
 // (nothing else pending before now+d), the sleep completes inline —
 // same sequence numbering, same fingerprint, same hook calls as the
-// queued path, but without the goroutine round trip through the engine.
+// queued path, but without switching to the engine and back.
 func (p *Proc) SleepReason(d Time, reason string) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %d", d))
 	}
-	if d == 0 {
-		return
+	if d > 0 {
+		p.sleep(d, reason)
 	}
+}
+
+// Yield lets every event already scheduled for the current instant run
+// before the process continues. With nothing pending at the current
+// instant it is satisfied inline, like SleepReason's fast path.
+func (p *Proc) Yield() { p.sleep(0, "yield") }
+
+// sleep parks for d >= 0 cycles, or elides the park when it can.
+func (p *Proc) sleep(d Time, reason string) {
 	e := p.eng
 	if wake := e.now + d; e.canElide(wake) {
 		if p.OnBlock != nil {
@@ -128,25 +150,6 @@ func (p *Proc) SleepReason(d Time, reason string) {
 	}
 	e.After(d, p.resumeFn)
 	p.park(reason)
-}
-
-// Yield lets every event already scheduled for the current instant run
-// before the process continues. With nothing pending at the current
-// instant it is satisfied inline, like SleepReason's fast path.
-func (p *Proc) Yield() {
-	e := p.eng
-	if e.canElide(e.now) {
-		if p.OnBlock != nil {
-			p.OnBlock("yield")
-		}
-		e.elide(e.now)
-		if p.OnUnblock != nil {
-			p.OnUnblock("yield", 0)
-		}
-		return
-	}
-	e.After(0, p.resumeFn)
-	p.park("yield")
 }
 
 // Cond is a wait queue: processes park on it, engine-context code wakes

@@ -164,3 +164,50 @@ func TestYield(t *testing.T) {
 		}
 	}
 }
+
+// TestProcPanicReachesRun: a panic inside a process body surfaces in the
+// goroutine that called Run, where the caller can recover it.
+func TestProcPanicReachesRun(t *testing.T) {
+	e := NewEngine()
+	var c Cond
+	e.NewProc(0, "boom", 0, func(p *Proc) {
+		c.Wait(p, "kick")
+		panic("boom")
+	})
+	e.At(7, func() { c.Signal(e) })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run surfaced %v, want the body's panic \"boom\"", got)
+	}
+}
+
+// BenchmarkProcHandoff measures one processor park/resume handoff. Two
+// processes ping-pong through a Cond: each signals the other and parks,
+// so every wake is a queued event (park elision cannot fire) and every
+// iteration costs one engine resume.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	var c Cond
+	for id := 0; id < 2; id++ {
+		e.NewProc(id, "pingpong", 0, func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				c.Signal(e)
+				c.Wait(p, "pingpong")
+			}
+			c.Signal(e)
+		})
+	}
+	b.ReportAllocs()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	s := e.Stats()
+	if s.ElidedParks != 0 {
+		b.Fatalf("%d parks elided; the benchmark must pay every handoff", s.ElidedParks)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Handoffs), "ns/handoff")
+}

@@ -72,6 +72,25 @@ func (e *Engine) SetWatchdog(window Time) { e.watchdog = window }
 // progressed stamps process-level progress for the watchdog.
 func (e *Engine) progressed() { e.lastProgressAt = e.now }
 
+// deadlock returns the drained-queue *StallError naming every unfinished
+// process, or nil when all of them finished.
+func (e *Engine) deadlock() error {
+	var blocked []BlockedProc
+	for _, p := range e.procs {
+		if !p.done {
+			blocked = append(blocked, BlockedProc{
+				ID: p.ID, Name: p.Name, Reason: p.blockReason, Since: p.blockedAt,
+			})
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	return &StallError{Deadlock: true, Report: StallReport{
+		At: e.now, LastProgress: e.lastProgressAt, Blocked: blocked,
+	}}
+}
+
 // checkStall evaluates the watchdog. It must only be called from the
 // Run loop between events.
 func (e *Engine) checkStall() *StallError {

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestWatchdogCatchesLivelock: a process blocks forever while an event
@@ -104,5 +107,45 @@ func TestWatchdogNoFalseTrips(t *testing.T) {
 	ev2, fp2 := run(20000) // armed, never trips
 	if ev1 != ev2 || fp1 != fp2 {
 		t.Errorf("armed watchdog changed the schedule: events %d/%d fp %016x/%016x", ev1, ev2, fp1, fp2)
+	}
+}
+
+// TestStalledProcsReleased: after a stall Run releases every blocked
+// process, so repeated deadlocked and livelocked runs — sequential and
+// sharded — leave no goroutines behind, and no released body runs on.
+func TestStalledProcsReleased(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		e := NewEngine()
+		switch i % 3 {
+		case 1: // livelock: churn never lets the queue drain
+			e.SetWatchdog(1000)
+			var churn func()
+			churn = func() { e.After(100, churn) }
+			e.After(100, churn)
+		case 2: // deadlock on the sharded engine
+			e.Parallelize(2, 4, 10)
+		}
+		for id := 0; id < 4; id++ {
+			var c Cond
+			e.NewProc(id, fmt.Sprintf("p%d", id), 0, func(p *Proc) {
+				p.Sleep(5)
+				c.Wait(p, "never")
+				t.Error("released process ran past its park")
+			})
+		}
+		var serr *StallError
+		if err := e.Run(); !errors.As(err, &serr) || len(serr.Report.Blocked) != 4 {
+			t.Fatalf("run %d: got %v, want a stall naming 4 processes", i, err)
+		}
+	}
+	// Exited shard workers may take a moment to be reaped.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before+4 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before+4 {
+		t.Fatalf("goroutines grew from %d to %d over 50 stalled runs", before, after)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // recording method on a nil *Recorder must be a no-op that allocates
 // nothing. Combined with the protocols installing the plain accounting
 // hook when no recorder is attached, a disabled timeline cannot perturb
-// BenchmarkEngineEventsPerSec's allocation counts or the event schedule.
+// the repo benchmark's allocation counts or the event schedule.
 func TestNilRecorderZeroCost(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(100, func() {
@@ -31,8 +31,8 @@ func TestNilRecorderZeroCost(t *testing.T) {
 }
 
 // BenchmarkNilRecorder quantifies the disabled-path cost: a nil-receiver
-// method call per record point (compare with BenchmarkEngineEventsPerSec
-// at the repository root, which runs with no recorder attached at all).
+// method call per record point (compare with the repo benchmark,
+// benchmark/run.sh, which runs with no recorder attached at all).
 func BenchmarkNilRecorder(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()

@@ -54,7 +54,7 @@ done
 for tool in dsmsim sweep metricsdiff experiment bench dsmserve; do
 	# Anchor on a non-flag, non-word char before the tool name so that
 	# "metricsdiff -bench" or "go test -benchtime" never parse as an
-	# invocation of cmd/bench, and stop at # so `make bench  # = go
+	# invocation of cmd/bench, and stop at # so `make X  # = go
 	# test ...` comments don't leak go-test flags into the scan.
 	flags=$(grep -ohE "(^|[^-A-Za-z])$tool [^\`|#]*" $docs |
 		grep -oE ' -[a-z][a-z-]*' | sed 's/^ -//' | sort -u)
