@@ -15,7 +15,6 @@ package aurc
 
 import (
 	"fmt"
-	"sort"
 
 	"dsm96/internal/lrc"
 	"dsm96/internal/memsys"
@@ -134,6 +133,8 @@ type page struct {
 	fetch            *fetchOp
 	prefetchedUnused bool
 	queuedPrefetch   bool
+	// written marks the page as listed in the node's written set.
+	written bool
 }
 
 type fetchOp struct {
@@ -182,8 +183,9 @@ type anode struct {
 	// pages[pg] is this node's view of page pg (nil until first touched);
 	// page numbers are dense, so a slice beats a map on the fault path.
 	pages []*page
-	// written is the set of pages modified in the current interval.
-	written map[int]bool
+	// written lists the pages modified in the current interval, in
+	// first-write order; page.written flags membership.
+	written []int
 	locks   map[int]*plock
 
 	wc *writeCache
@@ -221,10 +223,12 @@ type Protocol struct {
 	prefetch bool
 
 	nodes []*anode
-	dir   map[int]*pageDir
-	bars  map[int]*barrier
+	// dir[pg] and profiles[pg] are page pg's sharing directory entry and
+	// activity profile, nil until the page is first touched.
+	dir  []*pageDir
+	bars map[int]*barrier
 
-	profiles map[int]*stats.PageProfile
+	profiles []*stats.PageProfile
 	// tracer, when set, records structured protocol events (faults,
 	// automatic-update drains, prefetch issues) — see SetTracer.
 	tracer *trace.Buffer
@@ -242,9 +246,7 @@ func New(cfg *params.Config, eng *sim.Engine, net *network.Network, prefetch boo
 		net:      net,
 		heap:     lrc.NewHeap(cfg.PageSize),
 		prefetch: prefetch,
-		dir:      make(map[int]*pageDir),
 		bars:     make(map[int]*barrier),
-		profiles: make(map[int]*stats.PageProfile),
 	}
 	for i := 0; i < cfg.Processors; i++ {
 		mem := memsys.NewNode(i, cfg, eng)
@@ -260,7 +262,6 @@ func New(cfg *params.Config, eng *sim.Engine, net *network.Network, prefetch boo
 			lastBarrierVTS: lrc.NewVTS(cfg.Processors),
 			noticed:        make([]int32, cfg.Processors),
 			ivals:          make([][]*lrc.Interval, cfg.Processors),
-			written:        make(map[int]bool),
 			locks:          make(map[int]*plock),
 			updatesSent:    make([]uint64, cfg.Processors),
 		}
@@ -318,48 +319,38 @@ func (pr *Protocol) Breakdown(t sim.Time) *stats.Breakdown {
 func (pr *Protocol) NodeStats(id int) *stats.ProcStats { return pr.nodes[id].st }
 
 func (pr *Protocol) profile(pg int) *stats.PageProfile {
-	p, ok := pr.profiles[pg]
-	if !ok {
-		p = &stats.PageProfile{Page: pg}
-		pr.profiles[pg] = p
+	p := lrc.PageEntry(&pr.profiles, pg)
+	if *p == nil {
+		*p = &stats.PageProfile{Page: pg}
 	}
-	return p
+	return *p
 }
 
 // PageProfiles implements stats.PageProfiler.
 func (pr *Protocol) PageProfiles() []stats.PageProfile {
-	pages := make([]int, 0, len(pr.profiles))
-	for pg := range pr.profiles {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
-	out := make([]stats.PageProfile, 0, len(pages))
-	for _, pg := range pages {
-		out = append(out, *pr.profiles[pg])
+	var out []stats.PageProfile
+	for _, p := range pr.profiles {
+		if p != nil {
+			out = append(out, *p)
+		}
 	}
 	return out
 }
 
 func (pr *Protocol) pageDir(pg int) *pageDir {
-	d, ok := pr.dir[pg]
-	if !ok {
-		d = &pageDir{}
-		pr.dir[pg] = d
+	d := lrc.PageEntry(&pr.dir, pg)
+	if *d == nil {
+		*d = &pageDir{}
 	}
-	return d
+	return *d
 }
 
 func (n *anode) page(pg int) *page {
-	if pg < len(n.pages) {
-		if pe := n.pages[pg]; pe != nil {
-			return pe
-		}
-	} else {
-		n.pages = append(n.pages, make([]*page, pg+1-len(n.pages))...)
+	pe := lrc.PageEntry(&n.pages, pg)
+	if *pe == nil {
+		*pe = &page{state: stValid, applied: make([]int32, n.pr.cfg.Processors)}
 	}
-	pe := &page{state: stValid, applied: make([]int32, n.pr.cfg.Processors)}
-	n.pages[pg] = pe
-	return pe
+	return *pe
 }
 
 func (n *anode) lock(l int) *plock {
@@ -425,7 +416,7 @@ func (pr *Protocol) touchDirectory(pg, id int) *pageDir {
 // access performs protocol checks and timing for one shared reference.
 func (n *anode) access(p *sim.Proc, addr int64, write bool, size int) {
 	n.absorbSteal(p)
-	pg := int(addr) / n.pr.cfg.PageSize
+	pg := n.pr.cfg.PageOf(addr)
 	pe := n.page(pg)
 	n.pr.touchDirectory(pg, n.id)
 	for i := 0; pe.state == stInvalid; i++ {
@@ -445,7 +436,10 @@ func (n *anode) access(p *sim.Proc, addr int64, write bool, size int) {
 			n.pr.profile(pg).Writers |= 1 << uint(n.id)
 		}
 		n.fp.WriteThrough(p, addr, n.st)
-		n.written[pg] = true
+		if !pe.written {
+			pe.written = true
+			n.written = append(n.written, pg)
+		}
 		// Route the automatic update using the directory state as of NOW:
 		// the sharing set can change (pairwise replacement, home
 		// transition) while this processor is stalled, and the update

@@ -26,12 +26,12 @@ func (n *anode) closeInterval() *lrc.Interval {
 	if len(n.written) == 0 {
 		return nil
 	}
-	pages := make([]int, 0, len(n.written))
-	for pg := range n.written {
-		pages = append(pages, pg)
-	}
+	pages := n.written
+	n.written = nil
 	sort.Ints(pages)
-	n.written = make(map[int]bool)
+	for _, pg := range pages {
+		n.pages[pg].written = false
+	}
 	seq := n.vts[n.id] + 1
 	iv := &lrc.Interval{Owner: n.id, Seq: seq, VTS: n.vts.Clone(), Pages: pages}
 	iv.VTS[n.id] = seq

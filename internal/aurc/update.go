@@ -96,7 +96,7 @@ func (w *writeCache) flushEntry(e wcEntry) {
 	n.updatesSent[e.dst]++
 	n.st.MsgsSent++
 	n.st.BytesSent += uint64(bytes)
-	pg := int(e.block) / cfg.PageSize
+	pg := cfg.PageOf(e.block)
 	n.emit(pg, trace.KindUpdate, "flush dst=%d words=%d", e.dst, words)
 	n.pr.net.SendReliable(n.id, e.dst, bytes, cfg.AURCUpdateOverhead, func() {
 		for _, u := range ups {

@@ -54,38 +54,36 @@ type Controller struct {
 	// first submit timeout expires — the node-level degradation hook.
 	OnFailover func()
 
-	failed  bool
-	vectors map[int]*lrc.WriteVector
+	failed bool
+	// vectors[pg] is page pg's write bit vector, nil until first armed
+	// (page numbers are dense from 0; the snoop consults it per write).
+	vectors []*lrc.WriteVector
 }
 
 // New builds a controller attached to a node's memory system.
 func New(id int, cfg *params.Config, node *memsys.Node) *Controller {
 	return &Controller{
-		ID:      id,
-		Cfg:     cfg,
-		Node:    node,
-		Core:    sim.Server{Name: "ctrl"},
-		vectors: make(map[int]*lrc.WriteVector),
+		ID:   id,
+		Cfg:  cfg,
+		Node: node,
+		Core: sim.Server{Name: "ctrl"},
 	}
 }
 
 // Vector returns the write bit vector for page pg, creating it on demand.
 func (c *Controller) Vector(pg int) *lrc.WriteVector {
-	v, ok := c.vectors[pg]
-	if !ok {
-		v = lrc.NewWriteVector(c.Cfg.PageWords())
-		c.vectors[pg] = v
+	v := lrc.PageEntry(&c.vectors, pg)
+	if *v == nil {
+		*v = lrc.NewWriteVector(c.Cfg.PageWords())
 	}
-	return v
+	return *v
 }
 
 // SnoopWrite records a write-through of the word at addr, as the snoop
 // logic does when it sees the computation processor's write on the
 // memory bus. Zero time: the custom hardware keeps up with the bus.
 func (c *Controller) SnoopWrite(addr int64) {
-	pg := int(addr) / c.Cfg.PageSize
-	word := (int(addr) % c.Cfg.PageSize) / params.WordBytes
-	c.Vector(pg).Mark(word)
+	c.Vector(c.Cfg.PageOf(addr)).Mark(c.Cfg.PageOffset(addr) / params.WordBytes)
 }
 
 // Failed reports whether this controller has been declared dead (a

@@ -93,11 +93,25 @@ func TestRunRejectsWrongAnswers(t *testing.T) {
 	}
 }
 
+// Run refuses an invalid machine with Validate's error, on both protocol
+// families, before any constructor sees it: a geometry the shift/mask
+// address decode cannot represent must not reach the cache or frames.
 func TestRunRejectsBadConfig(t *testing.T) {
-	cfg := params.Default()
-	cfg.Processors = 0
-	if _, err := core.Run(cfg, core.TM(tmk.Base), &pingpong{rounds: 2}); err == nil {
-		t.Fatal("invalid config accepted")
+	for _, spec := range []core.Spec{core.TM(tmk.IPD), core.AURC(false)} {
+		for field, mut := range map[string]func(*params.Config){
+			"Processors":    func(c *params.Config) { c.Processors = 0 },
+			"PageSize":      func(c *params.Config) { c.PageSize = 4100 },
+			"CacheLineSize": func(c *params.Config) { c.CacheLineSize = 48 },
+			"CacheSize":     func(c *params.Config) { c.CacheSize = 96 * 1024 },
+		} {
+			cfg := params.Default()
+			cfg.Processors = 4
+			mut(&cfg)
+			_, err := core.Run(cfg, spec, &pingpong{rounds: 2})
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s with bad %s: err = %v, want one naming %s", spec, field, err, field)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package lrc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // WordBytes is the diff granularity (one machine word).
@@ -52,6 +53,10 @@ func CreateDiff(page int, twin, cur []byte) *Diff {
 // written words; the DMA engine gathers them.
 func DiffFromVector(page int, vec *WriteVector, cur []byte) *Diff {
 	d := &Diff{Page: page}
+	if n := vec.Count(); n > 0 {
+		d.Words = make([]int32, 0, n)
+		d.Data = make([]uint32, 0, n)
+	}
 	vec.ForEach(func(w int) {
 		d.Words = append(d.Words, int32(w))
 		d.Data = append(d.Data, binary.LittleEndian.Uint32(cur[w*WordBytes:]))
@@ -112,13 +117,8 @@ func (v *WriteVector) Clear() {
 func (v *WriteVector) ForEach(fn func(w int)) {
 	for i, word := range v.bits {
 		for word != 0 {
-			b := word & (-word)
-			bit := 0
-			for (b >> uint(bit)) != 1 {
-				bit++
-			}
-			fn(i*64 + bit)
-			word &^= b
+			fn(i*64 + bits.TrailingZeros64(word))
+			word &= word - 1 // clear the lowest set bit
 		}
 	}
 }

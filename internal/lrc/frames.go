@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Frames is one node's physical copy of the shared address space, held at
@@ -13,31 +14,44 @@ import (
 // The heap is a bump allocator from page 0, so page numbers are small and
 // dense: frames are kept in a slice indexed by page number rather than a
 // map, because Page sits on the path of every simulated memory access.
+// For the same reason the page size is a power of two, so an address
+// splits into page and offset by a shift and a mask.
 type Frames struct {
-	pageSize int
-	frames   [][]byte // frames[pg] is nil until materialized
+	pageSize  int
+	pageShift uint
+	frames    [][]byte // frames[pg] is nil until materialized
 }
 
-// NewFrames builds an empty frame store.
+// NewFrames builds an empty frame store; pageSize must be a power of two.
 func NewFrames(pageSize int) *Frames {
-	return &Frames{pageSize: pageSize}
+	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
+		panic(fmt.Sprintf("lrc: page size %d is not a power of two", pageSize))
+	}
+	return &Frames{pageSize: pageSize, pageShift: uint(bits.TrailingZeros(uint(pageSize)))}
 }
 
 // PageSize returns the page size in bytes.
 func (f *Frames) PageSize() int { return f.pageSize }
 
+// PageEntry returns a pointer to page pg's entry in a page-indexed
+// table, first extending the table with zero entries to cover pg. Heap
+// pages are dense from 0, so every per-page table on the path of a
+// shared reference (frames, page states, profiles, directories, write
+// vectors) is a slice indexed this way rather than a map.
+func PageEntry[T any](table *[]T, pg int) *T {
+	if pg >= len(*table) {
+		*table = append(*table, make([]T, pg+1-len(*table))...)
+	}
+	return &(*table)[pg]
+}
+
 // Page returns the frame for page pg, allocating a zeroed one on demand.
 func (f *Frames) Page(pg int) []byte {
-	if pg < len(f.frames) {
-		if fr := f.frames[pg]; fr != nil {
-			return fr
-		}
-	} else {
-		f.frames = append(f.frames, make([][]byte, pg+1-len(f.frames))...)
+	fr := PageEntry(&f.frames, pg)
+	if *fr == nil {
+		*fr = make([]byte, f.pageSize)
 	}
-	fr := make([]byte, f.pageSize)
-	f.frames[pg] = fr
-	return fr
+	return *fr
 }
 
 // Resident reports whether a frame has been materialized.
@@ -54,8 +68,8 @@ func (f *Frames) CopyPage(pg int, src []byte) {
 }
 
 func (f *Frames) locate(addr int64, n int) ([]byte, int) {
-	pg := int(addr) / f.pageSize
-	off := int(addr) % f.pageSize
+	pg := int(addr >> f.pageShift)
+	off := int(addr) & (f.pageSize - 1)
 	if off+n > f.pageSize {
 		panic(fmt.Sprintf("lrc: access of %d bytes at %d crosses page boundary", n, addr))
 	}

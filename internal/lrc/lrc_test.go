@@ -3,6 +3,8 @@ package lrc
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +161,33 @@ func TestWriteVector(t *testing.T) {
 	v.Clear()
 	if v.Count() != 0 {
 		t.Fatal("clear failed")
+	}
+
+	// Random vectors, always including the word-boundary bits 0, 63 and
+	// 64 and the page's last word, against a naive scan of a flag model.
+	rng := rand.New(rand.NewSource(7))
+	for _, words := range []int{16, 64, 65, 128, 1000, 1024} {
+		for trial := 0; trial < 50; trial++ {
+			v := NewWriteVector(words)
+			marked := make([]bool, words)
+			for _, w := range append([]int{0, 63, 64, words - 1}, rng.Perm(words)[:rng.Intn(words)]...) {
+				if w < words {
+					v.Mark(w)
+					marked[w] = true
+				}
+			}
+			var want []int
+			for w, m := range marked {
+				if m {
+					want = append(want, w)
+				}
+			}
+			var got []int
+			v.ForEach(func(w int) { got = append(got, w) })
+			if !reflect.DeepEqual(got, want) || v.Count() != len(want) {
+				t.Fatalf("%d words: ForEach = %v (count %d), want %v", words, got, v.Count(), want)
+			}
+		}
 	}
 }
 

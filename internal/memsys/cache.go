@@ -5,6 +5,11 @@
 // network interface sit on.
 package memsys
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Addr is a simulated physical/virtual address (the DSM uses a single
 // flat shared address space).
 type Addr = int64
@@ -12,19 +17,26 @@ type Addr = int64
 // Cache is a direct-mapped, tag-only timing model of the first-level data
 // cache. Data values are not stored: the DSM keeps page contents in
 // per-node page frames; the cache decides hit/miss timing only.
+//
+// Line size and line count are powers of two (params.Validate), so an
+// address decodes to its line by a shift and to its set by a mask.
 type Cache struct {
-	lineSize int
-	nLines   int
-	tags     []Addr // tags[i] = line address (addr / lineSize), -1 invalid
-	dirty    []bool
+	lineShift uint
+	setMask   Addr
+	tags      []Addr // tags[i] = line address (addr >> lineShift), -1 invalid
+	dirty     []bool
 
 	Hits, Misses, Evictions, WriteBacks, Invalidations uint64
 }
 
 // NewCache builds a cache of totalBytes capacity with lineBytes lines.
+// Both the line size and the line count must be powers of two.
 func NewCache(totalBytes, lineBytes int) *Cache {
 	n := totalBytes / lineBytes
-	c := &Cache{lineSize: lineBytes, nLines: n,
+	if lineBytes&(lineBytes-1) != 0 || n <= 0 || n&(n-1) != 0 || n*lineBytes != totalBytes {
+		panic(fmt.Sprintf("memsys: cache of %d bytes in %d-byte lines is not a power-of-two geometry", totalBytes, lineBytes))
+	}
+	c := &Cache{lineShift: uint(bits.TrailingZeros(uint(lineBytes))), setMask: Addr(n - 1),
 		tags: make([]Addr, n), dirty: make([]bool, n)}
 	for i := range c.tags {
 		c.tags[i] = -1
@@ -33,17 +45,15 @@ func NewCache(totalBytes, lineBytes int) *Cache {
 }
 
 // LineSize returns the line size in bytes.
-func (c *Cache) LineSize() int { return c.lineSize }
+func (c *Cache) LineSize() int { return 1 << c.lineShift }
 
 // Lines returns the number of lines.
-func (c *Cache) Lines() int { return c.nLines }
-
-func (c *Cache) index(line Addr) int { return int(line % Addr(c.nLines)) }
+func (c *Cache) Lines() int { return len(c.tags) }
 
 // Lookup reports whether addr hits without changing state.
 func (c *Cache) Lookup(addr Addr) bool {
-	line := addr / Addr(c.lineSize)
-	return c.tags[c.index(line)] == line
+	line := addr >> c.lineShift
+	return c.tags[line&c.setMask] == line
 }
 
 // Access simulates a reference to addr. It returns whether it hit and, on
@@ -54,8 +64,8 @@ func (c *Cache) Lookup(addr Addr) bool {
 // write-back caching of writes. allocate=false models write-no-allocate
 // (write-through writes do not fill the cache on a miss).
 func (c *Cache) Access(addr Addr, markDirty, allocate bool) (hit, evictedDirty bool) {
-	line := addr / Addr(c.lineSize)
-	i := c.index(line)
+	line := addr >> c.lineShift
+	i := line & c.setMask
 	if c.tags[i] == line {
 		c.Hits++
 		if markDirty {
@@ -85,11 +95,11 @@ func (c *Cache) Access(addr Addr, markDirty, allocate bool) (hit, evictedDirty b
 // diff is applied to a local page. Dirty data in the invalidated range is
 // discarded: the protocol guarantees the incoming version supersedes it.
 func (c *Cache) InvalidateRange(addr Addr, n int) int {
-	first := addr / Addr(c.lineSize)
-	last := (addr + Addr(n) - 1) / Addr(c.lineSize)
+	first := addr >> c.lineShift
+	last := (addr + Addr(n) - 1) >> c.lineShift
 	dropped := 0
 	for line := first; line <= last; line++ {
-		i := c.index(line)
+		i := line & c.setMask
 		if c.tags[i] == line {
 			c.tags[i] = -1
 			c.dirty[i] = false
@@ -109,34 +119,43 @@ func (c *Cache) Flush() {
 }
 
 // TLB is a FIFO-replacement translation buffer over page numbers.
+//
+// Heap pages are dense from 0 (a bump allocator), so residency is a
+// page-indexed flag slice rather than a map; the FIFO itself is a ring
+// of the resident pages in insertion order.
 type TLB struct {
-	size    int
-	present map[Addr]bool
-	fifo    []Addr
+	present []bool // present[pg]: pg is resident
+	fifo    []Addr // ring of resident pages, oldest at fifo[head]
+	head    int
 
 	Hits, Misses uint64
 }
 
 // NewTLB builds a TLB with the given number of entries.
 func NewTLB(entries int) *TLB {
-	return &TLB{size: entries, present: make(map[Addr]bool, entries)}
+	return &TLB{fifo: make([]Addr, 0, entries)}
 }
 
 // Access touches the translation for page and reports whether it hit.
 func (t *TLB) Access(page Addr) (hit bool) {
-	if t.present[page] {
+	if page < Addr(len(t.present)) && t.present[page] {
 		t.Hits++
 		return true
 	}
 	t.Misses++
-	if len(t.fifo) >= t.size {
-		victim := t.fifo[0]
-		copy(t.fifo, t.fifo[1:])
-		t.fifo = t.fifo[:len(t.fifo)-1]
-		delete(t.present, victim)
+	if page >= Addr(len(t.present)) {
+		t.present = append(t.present, make([]bool, int(page)+1-len(t.present))...)
 	}
 	t.present[page] = true
-	t.fifo = append(t.fifo, page)
+	if len(t.fifo) < cap(t.fifo) {
+		t.fifo = append(t.fifo, page)
+		return false
+	}
+	t.present[t.fifo[t.head]] = false
+	t.fifo[t.head] = page
+	if t.head++; t.head == len(t.fifo) {
+		t.head = 0
+	}
 	return false
 }
 

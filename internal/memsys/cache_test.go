@@ -126,23 +126,44 @@ func TestTLBFIFOReplacement(t *testing.T) {
 	}
 }
 
-// Property: the TLB never exceeds its capacity, and a just-inserted page
-// always hits immediately afterwards.
+// Property: on random page streams, a TLB of every capacity from 1 to 8
+// agrees access by access with a reference model (a set of resident
+// pages plus a FIFO queue of them): each hit or miss, Hits, Misses and
+// Entries, so eviction order is checked too, not just capacity.
 func TestTLBCapacityProperty(t *testing.T) {
-	f := func(pages []uint16) bool {
-		tlb := NewTLB(8)
-		for _, pg := range pages {
-			tlb.Access(Addr(pg))
-			if tlb.Entries() > 8 {
-				return false
-			}
-			if !tlb.Access(Addr(pg)) {
-				return false
+	f := func(stream []uint16) bool {
+		for size := 1; size <= 8; size++ {
+			tlb := NewTLB(size)
+			resident := map[Addr]bool{}
+			var fifo []Addr
+			var hits, misses uint64
+			for _, r := range stream {
+				// Few distinct pages, so pages hit and get evicted; the
+				// high bit jumps far out to grow the residency table.
+				pg := Addr(r % 12)
+				if r&0x8000 != 0 {
+					pg += 1000
+				}
+				want := resident[pg]
+				if want {
+					hits++
+				} else {
+					misses++
+					if len(fifo) == size {
+						delete(resident, fifo[0])
+						fifo = fifo[1:]
+					}
+					resident[pg] = true
+					fifo = append(fifo, pg)
+				}
+				if tlb.Access(pg) != want || tlb.Hits != hits || tlb.Misses != misses || tlb.Entries() != len(fifo) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -20,9 +20,9 @@ const (
 // interaction that must observe an accurate clock — a bus reservation, a
 // miss, a fault, a synchronization operation.
 //
-// Unlike Node.Read/Write (which charge stats directly), FastPath charges
-// nothing itself: all its stalls go through sim.Proc sleep reasons, so a
-// single OnUnblock hook performs the category accounting.
+// FastPath charges nothing itself: all its stalls go through sim.Proc
+// sleep reasons, so a single OnUnblock hook performs the category
+// accounting.
 type FastPath struct {
 	Node *Node
 	lazy sim.Time
@@ -48,8 +48,7 @@ func (f *FastPath) Flush(p *sim.Proc) {
 }
 
 func (f *FastPath) tlb(p *sim.Proc, addr Addr, st *stats.ProcStats) {
-	page := addr / Addr(f.Node.Cfg.PageSize)
-	if f.Node.TLB.Access(page) {
+	if f.Node.TLB.Access(Addr(f.Node.Cfg.PageOf(addr))) {
 		return
 	}
 	st.TLBMisses++

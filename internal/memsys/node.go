@@ -3,7 +3,6 @@ package memsys
 import (
 	"dsm96/internal/params"
 	"dsm96/internal/sim"
-	"dsm96/internal/stats"
 )
 
 // WriteBuffer models the finite processor write buffer: writes enqueue
@@ -81,81 +80,6 @@ func NewNode(id int, cfg *params.Config, eng *sim.Engine) *Node {
 		WB:     NewWriteBuffer(cfg.WriteBufferSize),
 		MemBus: sim.Resource{Name: "membus"},
 		PCIBus: sim.Resource{Name: "pcibus"},
-	}
-}
-
-// touchTLB models the translation for addr, stalling p on a miss.
-// The fill time is charged to "others" per the paper's breakdown.
-func (n *Node) touchTLB(p *sim.Proc, addr Addr, st *stats.ProcStats) {
-	page := addr / Addr(n.Cfg.PageSize)
-	if n.TLB.Access(page) {
-		return
-	}
-	st.TLBMisses++
-	st.Add(stats.Other, n.Cfg.TLBFillTime)
-	p.SleepReason(n.Cfg.TLBFillTime, "tlb-fill")
-}
-
-// Read simulates a data read by the computation processor. One cycle of
-// busy time is charged for the access itself; TLB fills, cache-miss
-// memory latency and bus queueing are charged to "others".
-func (n *Node) Read(p *sim.Proc, addr Addr, st *stats.ProcStats) {
-	st.SharedReads++
-	st.Add(stats.Busy, 1)
-	p.SleepReason(1, "issue")
-	n.touchTLB(p, addr, st)
-	hit, evictedDirty := n.Cache.Access(addr, false, true)
-	if hit {
-		return
-	}
-	st.CacheMisses++
-	if evictedDirty {
-		// Write-back of the victim goes through a write-back buffer:
-		// it occupies the bus but does not stall the processor.
-		n.MemBus.Reserve(n.Eng, n.Cfg.MemLineTime())
-	}
-	before := p.Now()
-	n.MemBus.Use(p, n.Cfg.MemLineTime(), "cache-miss")
-	st.Add(stats.Other, p.Now()-before)
-}
-
-// Write simulates a data write. writeThrough selects the policy:
-//
-//   - write-back (false): write-allocate; a miss fetches the line and the
-//     line is marked dirty. Used by TreadMarks variants without the
-//     snooping controller.
-//   - write-through (true): no-allocate; the word is pushed through the
-//     write buffer onto the memory bus so the controller's snoop logic
-//     (or the Shrimp interface, for AURC) can observe it. The processor
-//     stalls only when the write buffer is full.
-func (n *Node) Write(p *sim.Proc, addr Addr, writeThrough bool, st *stats.ProcStats) {
-	st.SharedWrites++
-	st.Add(stats.Busy, 1)
-	p.SleepReason(1, "issue")
-	n.touchTLB(p, addr, st)
-	if !writeThrough {
-		hit, evictedDirty := n.Cache.Access(addr, true, true)
-		if hit {
-			return
-		}
-		st.CacheMisses++
-		if evictedDirty {
-			n.MemBus.Reserve(n.Eng, n.Cfg.MemLineTime())
-		}
-		before := p.Now()
-		n.MemBus.Use(p, n.Cfg.MemLineTime(), "cache-miss")
-		st.Add(stats.Other, p.Now()-before)
-		return
-	}
-	// Write-through: update the cached copy if present (no allocate on
-	// miss), then drain the word through the write buffer.
-	n.Cache.Access(addr, false, false)
-	_, drainEnd := n.MemBus.Reserve(n.Eng, n.Cfg.WriteThroughWordTime())
-	stall := n.WB.Push(p.Now(), drainEnd)
-	if stall > 0 {
-		st.WriteBuffStalls++
-		st.Add(stats.Other, stall)
-		p.SleepReason(stall, "wbuf-full")
 	}
 }
 

@@ -15,107 +15,6 @@ func newTestNode() (*Node, *sim.Engine, *params.Config) {
 	return n, eng, &cfg
 }
 
-func TestReadTimingHitVsMiss(t *testing.T) {
-	n, eng, cfg := newTestNode()
-	var st stats.ProcStats
-	var missEnd, hitEnd sim.Time
-	eng.NewProc(0, "p", 0, func(p *sim.Proc) {
-		// Pre-touch TLB so the first read isolates the cache miss.
-		n.TLB.Access(0)
-		start := p.Now()
-		n.Read(p, 64, &st)
-		missEnd = p.Now() - start
-		start = p.Now()
-		n.Read(p, 64, &st)
-		hitEnd = p.Now() - start
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Miss: 1 cycle issue + line fill (10 + 3*8 = 34).
-	if missEnd != 1+cfg.MemLineTime() {
-		t.Fatalf("miss latency = %d, want %d", missEnd, 1+cfg.MemLineTime())
-	}
-	if hitEnd != 1 {
-		t.Fatalf("hit latency = %d, want 1", hitEnd)
-	}
-	if st.CacheMisses != 1 {
-		t.Fatalf("cache misses = %d, want 1", st.CacheMisses)
-	}
-	if st.Cycles[stats.Other] != cfg.MemLineTime() {
-		t.Fatalf("other cycles = %d, want %d", st.Cycles[stats.Other], cfg.MemLineTime())
-	}
-	if st.Cycles[stats.Busy] != 2 {
-		t.Fatalf("busy cycles = %d, want 2", st.Cycles[stats.Busy])
-	}
-}
-
-func TestTLBMissCharged(t *testing.T) {
-	n, eng, cfg := newTestNode()
-	var st stats.ProcStats
-	eng.NewProc(0, "p", 0, func(p *sim.Proc) {
-		n.Read(p, 0, &st)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st.TLBMisses != 1 {
-		t.Fatalf("tlb misses = %d, want 1", st.TLBMisses)
-	}
-	if st.Cycles[stats.Other] < cfg.TLBFillTime {
-		t.Fatalf("other cycles = %d, want >= %d (TLB fill)", st.Cycles[stats.Other], cfg.TLBFillTime)
-	}
-}
-
-func TestWriteThroughDrainsAndStalls(t *testing.T) {
-	cfg := params.Default()
-	cfg.WriteBufferSize = 2
-	eng := sim.NewEngine()
-	n := NewNode(0, &cfg, eng)
-	var st stats.ProcStats
-	eng.NewProc(0, "p", 0, func(p *sim.Proc) {
-		n.TLB.Access(0)
-		// Two writes fill the buffer without stalling (word drain is 13
-		// cycles, writes issue 1 cycle apart).
-		n.Write(p, 0, true, &st)
-		n.Write(p, 4, true, &st)
-		if st.WriteBuffStalls != 0 {
-			t.Errorf("unexpected stall after 2 writes")
-		}
-		// Third write must stall until the first drain completes.
-		n.Write(p, 8, true, &st)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st.WriteBuffStalls != 1 {
-		t.Fatalf("wb stalls = %d, want 1", st.WriteBuffStalls)
-	}
-	if st.SharedWrites != 3 {
-		t.Fatalf("writes = %d, want 3", st.SharedWrites)
-	}
-}
-
-func TestWriteBackAllocatesAndDirties(t *testing.T) {
-	n, eng, _ := newTestNode()
-	var st stats.ProcStats
-	eng.NewProc(0, "p", 0, func(p *sim.Proc) {
-		n.Write(p, 128, false, &st)
-		if !n.Cache.Lookup(128) {
-			t.Error("write-back write did not allocate")
-		}
-		// Conflict eviction must report a write-back.
-		wbBefore := n.Cache.WriteBacks
-		n.Read(p, 128+int64(n.Cache.Lines()*n.Cache.LineSize()), &st)
-		if n.Cache.WriteBacks != wbBefore+1 {
-			t.Error("dirty victim not written back")
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWriteBufferReap(t *testing.T) {
 	wb := NewWriteBuffer(2)
 	if s := wb.Push(0, 10); s != 0 {
@@ -138,14 +37,15 @@ func TestMemBusContention(t *testing.T) {
 	n, eng, cfg := newTestNode()
 	var st0, st1 stats.ProcStats
 	var end0, end1 sim.Time
+	f0, f1 := NewFastPath(n), NewFastPath(n)
 	eng.NewProc(0, "a", 0, func(p *sim.Proc) {
 		n.TLB.Access(0)
-		n.Read(p, 0, &st0)
+		f0.Read(p, 0, &st0)
 		end0 = p.Now()
 	})
 	eng.NewProc(1, "b", 0, func(p *sim.Proc) {
-		n.TLB.Access(1 << 20 / int64(cfg.PageSize))
-		n.Read(p, 1<<20, &st1) // different line, same bus
+		n.TLB.Access(Addr(cfg.PageOf(1 << 20)))
+		f1.Read(p, 1<<20, &st1) // different line, same bus
 		end1 = p.Now()
 	})
 	if err := eng.Run(); err != nil {
@@ -176,10 +76,11 @@ func TestDMAOccupiesBothBuses(t *testing.T) {
 
 func TestInvalidatePage(t *testing.T) {
 	n, eng, cfg := newTestNode()
+	f := NewFastPath(n)
 	var st stats.ProcStats
 	eng.NewProc(0, "p", 0, func(p *sim.Proc) {
 		for a := Addr(0); a < Addr(cfg.PageSize); a += Addr(cfg.CacheLineSize) {
-			n.Read(p, a, &st)
+			f.Read(p, a, &st)
 		}
 		n.InvalidatePage(0)
 		for a := Addr(0); a < Addr(cfg.PageSize); a += Addr(cfg.CacheLineSize) {

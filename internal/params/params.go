@@ -12,7 +12,10 @@
 // cheap fine-grained remote access, no doorbell).
 package params
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // WordBytes is the machine word size used for diffs and bit vectors.
 const WordBytes = 4
@@ -168,12 +171,12 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Processors < 1:
 		return fmt.Errorf("params: Processors = %d, need >= 1", c.Processors)
-	case c.PageSize <= 0 || c.PageSize%WordBytes != 0:
-		return fmt.Errorf("params: PageSize = %d must be a positive multiple of %d", c.PageSize, WordBytes)
-	case c.CacheLineSize <= 0 || c.CacheLineSize%WordBytes != 0:
-		return fmt.Errorf("params: CacheLineSize = %d must be a positive multiple of %d", c.CacheLineSize, WordBytes)
-	case c.CacheSize <= 0 || c.CacheSize%c.CacheLineSize != 0:
-		return fmt.Errorf("params: CacheSize = %d must be a positive multiple of the line size", c.CacheSize)
+	case !powerOfTwo(c.PageSize) || c.PageSize < WordBytes:
+		return fmt.Errorf("params: PageSize = %d must be a power of two >= %d", c.PageSize, WordBytes)
+	case !powerOfTwo(c.CacheLineSize) || c.CacheLineSize < WordBytes:
+		return fmt.Errorf("params: CacheLineSize = %d must be a power of two >= %d", c.CacheLineSize, WordBytes)
+	case c.CacheSize < c.CacheLineSize || c.CacheSize%c.CacheLineSize != 0 || !powerOfTwo(c.CacheSize/c.CacheLineSize):
+		return fmt.Errorf("params: CacheSize = %d must be a power-of-two number of %d-byte lines", c.CacheSize, c.CacheLineSize)
 	case c.TLBSize <= 0:
 		return fmt.Errorf("params: TLBSize = %d, need > 0", c.TLBSize)
 	case c.WriteBufferSize <= 0:
@@ -209,6 +212,21 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// powerOfTwo reports whether n is a positive power of two. Page, line
+// and cache sizes must be: every shared reference decodes its address
+// with shifts and masks, never a division.
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// PageOf returns the number of the page holding addr. It is the page
+// decode of every shared reference (memsys, tmk, aurc, controller), so
+// it is a shift: Validate admits only power-of-two page sizes.
+func (c *Config) PageOf(addr int64) int {
+	return int(addr >> uint(bits.TrailingZeros(uint(c.PageSize))))
+}
+
+// PageOffset returns addr's byte offset within its page.
+func (c *Config) PageOffset(addr int64) int { return int(addr) & (c.PageSize - 1) }
 
 // PageWords returns words per page.
 func (c *Config) PageWords() int { return c.PageSize / WordBytes }

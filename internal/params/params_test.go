@@ -2,6 +2,7 @@ package params
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,26 +48,49 @@ func TestTable1Defaults(t *testing.T) {
 	}
 }
 
+// Validate catches each inconsistency with an error naming what is
+// wrong. Page, line and cache geometry must be powers of two: every
+// shared reference decodes its address with shifts and masks.
 func TestValidateCatchesBadConfigs(t *testing.T) {
-	mutations := []func(*Config){
-		func(c *Config) { c.Processors = 0 },
-		func(c *Config) { c.PageSize = 0 },
-		func(c *Config) { c.PageSize = 4097 },
-		func(c *Config) { c.CacheLineSize = 0 },
-		func(c *Config) { c.CacheSize = 100 }, // not a multiple of line
-		func(c *Config) { c.TLBSize = 0 },
-		func(c *Config) { c.WriteBufferSize = 0 },
-		func(c *Config) { c.WriteCacheSize = -1 },
-		func(c *Config) { c.NetPathBytesPerCycle = 0 },
-		func(c *Config) { c.MemCyclesPerWord = 0 },
-		func(c *Config) { c.DMADiffFullCycles = 10 },
+	mutations := []struct {
+		want string
+		mut  func(*Config)
+	}{
+		{"Processors", func(c *Config) { c.Processors = 0 }},
+		{"PageSize", func(c *Config) { c.PageSize = 0 }},
+		{"PageSize", func(c *Config) { c.PageSize = 4097 }},
+		{"PageSize", func(c *Config) { c.PageSize = 4100 }},
+		{"CacheLineSize", func(c *Config) { c.CacheLineSize = 0 }},
+		{"CacheLineSize", func(c *Config) { c.CacheLineSize = 48 }},
+		{"CacheSize", func(c *Config) { c.CacheSize = 100 }}, // not a multiple of line
+		{"CacheSize", func(c *Config) { c.CacheSize, c.CacheLineSize = 96*1024, 32 }},
+		{"TLBSize", func(c *Config) { c.TLBSize = 0 }},
+		{"WriteBufferSize", func(c *Config) { c.WriteBufferSize = 0 }},
+		{"WriteCacheSize", func(c *Config) { c.WriteCacheSize = -1 }},
+		{"NetPathBytesPerCycle", func(c *Config) { c.NetPathBytesPerCycle = 0 }},
+		{"memory timing", func(c *Config) { c.MemCyclesPerWord = 0 }},
+		{"DMA full cost", func(c *Config) { c.DMADiffFullCycles = 10 }},
 	}
-	for i, mut := range mutations {
+	for i, m := range mutations {
 		c := Default()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d not caught by Validate", i)
+		m.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), m.want) {
+			t.Errorf("mutation %d: err = %v, want one naming %s", i, err, m.want)
 		}
+	}
+}
+
+// Property: PageOf and PageOffset agree with division and remainder for
+// every power-of-two page size.
+func TestPageDecodeProperty(t *testing.T) {
+	f := func(raw uint32, shift uint8) bool {
+		c := Default()
+		c.PageSize = 4 << (shift % 12)
+		addr := int64(raw)
+		return c.PageOf(addr) == int(addr)/c.PageSize && c.PageOffset(addr) == int(addr)%c.PageSize
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -213,10 +213,17 @@ func runWithTimeout(batch []experiments.Cell, timeout time.Duration) ([]experime
 	if timeout <= 0 {
 		return experiments.RunCells(batch), true
 	}
+	start := time.Now()
 	done := make(chan []experiments.Run, 1)
 	go func() { done <- experiments.RunCells(batch) }()
 	select {
 	case runs := <-done:
+		// When the batch and the timer are both ready, select picks
+		// either: a batch that outlasted the timeout counts as timed out
+		// whichever case won.
+		if time.Since(start) >= timeout {
+			return nil, false
+		}
 		return runs, true
 	case <-time.After(timeout):
 		return nil, false

@@ -169,10 +169,11 @@ type pnode struct {
 	st     *stats.ProcStats
 	proc   *sim.Proc
 	frames *lrc.Frames
-	// profiles is this node's share of the per-page activity profile,
-	// merged across nodes by PageProfiles (shard-local on a parallel
-	// engine, so concurrent windows never write a shared record).
-	profiles map[int]*stats.PageProfile
+	// profiles[pg] is this node's share of page pg's activity profile
+	// (nil until the node first touches the page), merged across nodes
+	// by PageProfiles (shard-local on a parallel engine, so concurrent
+	// windows never write a shared record).
+	profiles []*stats.PageProfile
 
 	// degraded marks a controller failover: the node has permanently
 	// fallen back to inline software protocol handling (see degrade.go).
@@ -230,8 +231,6 @@ type Protocol struct {
 	bars  map[int]*barrier
 	opts  Options
 
-	// profiles aggregates per-page protocol activity across all nodes.
-	profiles map[int]*stats.PageProfile
 	// tracer, when set, records structured protocol events.
 	tracer *trace.Buffer
 	// rec, when set, records per-node phase spans and controller
@@ -263,7 +262,6 @@ func New(cfg *params.Config, eng *sim.Engine, net *network.Network, mode Mode) *
 			pr:             pr,
 			eng:            view,
 			mem:            mem,
-			profiles:       make(map[int]*stats.PageProfile),
 			fp:             memsys.NewFastPath(mem),
 			st:             &stats.ProcStats{},
 			frames:         lrc.NewFrames(cfg.PageSize),
@@ -324,24 +322,31 @@ func (pr *Protocol) NodeStats(id int) *stats.ProcStats { return pr.nodes[id].st 
 
 // profile returns this node's record for a page.
 func (n *pnode) profile(pg int) *stats.PageProfile {
-	p, ok := n.profiles[pg]
-	if !ok {
-		p = &stats.PageProfile{Page: pg}
-		n.profiles[pg] = p
+	p := lrc.PageEntry(&n.profiles, pg)
+	if *p == nil {
+		*p = &stats.PageProfile{Page: pg}
 	}
-	return p
+	return *p
 }
 
 // PageProfiles implements stats.PageProfiler: per-page activity merged
-// across all nodes' shares, sorted by page number.
+// across all nodes' shares, in page order.
 func (pr *Protocol) PageProfiles() []stats.PageProfile {
-	merged := make(map[int]*stats.PageProfile)
+	pages := 0
 	for _, n := range pr.nodes {
-		for pg, p := range n.profiles {
-			m, ok := merged[pg]
-			if !ok {
-				m = &stats.PageProfile{Page: pg}
-				merged[pg] = m
+		pages = max(pages, len(n.profiles))
+	}
+	var out []stats.PageProfile
+	for pg := 0; pg < pages; pg++ {
+		var m *stats.PageProfile
+		for _, n := range pr.nodes {
+			if pg >= len(n.profiles) || n.profiles[pg] == nil {
+				continue
+			}
+			p := n.profiles[pg]
+			if m == nil {
+				out = append(out, stats.PageProfile{Page: pg})
+				m = &out[len(out)-1]
 			}
 			m.Faults += p.Faults
 			m.WriteFaults += p.WriteFaults
@@ -351,15 +356,6 @@ func (pr *Protocol) PageProfiles() []stats.PageProfile {
 			m.Writers |= p.Writers
 			m.Readers |= p.Readers
 		}
-	}
-	pages := make([]int, 0, len(merged))
-	for pg := range merged {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
-	out := make([]stats.PageProfile, 0, len(pages))
-	for _, pg := range pages {
-		out = append(out, *merged[pg])
 	}
 	return out
 }
@@ -381,16 +377,11 @@ func (pr *Protocol) Breakdown(runningTime sim.Time) *stats.Breakdown {
 func (pr *Protocol) FinishProc(id int, p *sim.Proc) { pr.nodes[id].fp.Flush(p) }
 
 func (n *pnode) page(pg int) *page {
-	if pg < len(n.pages) {
-		if pe := n.pages[pg]; pe != nil {
-			return pe
-		}
-	} else {
-		n.pages = append(n.pages, make([]*page, pg+1-len(n.pages))...)
+	pe := lrc.PageEntry(&n.pages, pg)
+	if *pe == nil {
+		*pe = &page{state: stRO, applied: make([]int32, n.pr.cfg.Processors)}
 	}
-	pe := &page{state: stRO, applied: make([]int32, n.pr.cfg.Processors)}
-	n.pages[pg] = pe
-	return pe
+	return *pe
 }
 
 // tag returns word w's supersession tag (nil if untagged).
@@ -470,7 +461,7 @@ func (n *pnode) writeThrough() bool { return n.pr.mode.HWDiff() && !n.degraded }
 // any later protection downgrade).
 func (n *pnode) access(p *sim.Proc, addr int64, write bool, size int, commit func()) {
 	n.absorbSteal(p)
-	pg := int(addr) / n.pr.cfg.PageSize
+	pg := n.pr.cfg.PageOf(addr)
 	pe := n.page(pg)
 	for i := 0; pe.state == stInvalid || (write && pe.state != stRW); i++ {
 		if i > 64 {
