@@ -4,7 +4,12 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race benchcheck bench-snapshot golden fuzz docs timeline metricsdiff chaos profiles experiments trend render trend-snapshot obsparity serve
+# Run every recipe under errexit: a multi-step recipe chained with `; \`
+# fails at its first failing step instead of reporting only the status
+# of its final echo.
+.SHELLFLAGS := -ec
+
+.PHONY: check fmt vet build test race benchcheck golden fuzz docs timeline metricsdiff chaos profiles experiments trend render trend-snapshot obsparity serve
 
 check: fmt vet build test race benchcheck timeline metricsdiff chaos profiles experiments obsparity serve trend docs
 
@@ -21,11 +26,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine runs each simulated processor as a runtime coroutine that
-# the parallel engine's shard workers resume from their own OS threads,
-# and the job server runs simulations on a worker pool: the race
-# detector over the whole tree (short mode trims the heavyweight app
-# inputs) is the cheapest way to catch an accidental shared write.
+# The experiment pool and the job server run whole simulations
+# concurrently, each on its own engine: the race detector over the
+# whole tree (short mode trims the heavyweight app inputs) is the
+# cheapest way to catch an accidental write shared between runs.
 race:
 	$(GO) test -race -short ./...
 
@@ -36,14 +40,6 @@ race:
 # `bash benchmark/run.sh` (see EXPERIMENTS.md, "Engine throughput").
 benchcheck:
 	cd benchmark && $(GO) test -short ./...
-
-# Parallel-engine scaling snapshot: events/sec across 64/128/256-node
-# meshes at 1/2/4/8 engine workers, written to BENCH_parallel_engine.json
-# (atomically). Every cell is fingerprint-checked against workers=1; the
-# >=2x speedup assertion applies only on hosts with 8+ CPUs (the script
-# says so when it skips). Compare snapshots with metricsdiff -bench.
-bench-snapshot:
-	sh scripts/bench.sh BENCH_parallel_engine.json
 
 # Regenerate the golden cycle totals after an INTENTIONAL timing change.
 golden:
@@ -138,23 +134,23 @@ experiments:
 		"$$dir"/*-smoke/manifest.json >/dev/null; \
 	echo "experiments: ok"
 
-# Parallel-observability gate: the worker-parity matrix (Perfetto
+# Observability-parity gate: the repeat-parity matrix (Perfetto
 # timeline, run-metrics JSON, spans JSONL, rendered trace byte-identical
-# across worker counts, fingerprint equal to the uninstrumented run) and
+# across repeat runs, fingerprint equal to the uninstrumented run) and
 # the engine self-profiler's determinism contract, run under the race
 # detector; then the artifact-level proof through the real CLI — two
-# dsmsim runs of the same sharded configuration must carry the
+# dsmsim runs of the same configuration must carry the
 # dsm96/engine-profile/v1 schema tag and pass metricsdiff
 # -engine-profile (deterministic block exact, host block ignored).
 obsparity:
 	$(GO) test -race ./internal/core -count 1 \
-		-run 'TestObservabilityWorkerParity|TestObservabilityParityLargeMesh|TestEngineProfileDeterministic'
+		-run 'TestObservabilityRepeatParity|TestObservabilityParityLargeMesh|TestEngineProfileDeterministic'
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/dsmsim -p 8 -app water -mode ipd -scale tiny -workers 4 \
+	$(GO) run ./cmd/dsmsim -p 8 -app water -mode ipd -scale tiny \
 		-engine-profile "$$dir/a.json" >/dev/null; \
-	$(GO) run ./cmd/dsmsim -p 8 -app water -mode ipd -scale tiny -workers 4 \
+	$(GO) run ./cmd/dsmsim -p 8 -app water -mode ipd -scale tiny \
 		-engine-profile "$$dir/b.json" >/dev/null; \
-	jq -e '.schema == "dsm96/engine-profile/v1" and .workers == 4 and (.deterministic.windows > 0)' \
+	jq -e '.schema == "dsm96/engine-profile/v1" and (.deterministic.events_run > 0)' \
 		"$$dir/a.json" >/dev/null; \
 	$(GO) run ./cmd/metricsdiff -engine-profile "$$dir/a.json" "$$dir/b.json"; \
 	echo "obsparity: ok"

@@ -46,20 +46,9 @@
 // latency decomposition. All artifacts are byte-identical across repeat
 // runs.
 //
-// -workers N shards the event engine across N OS threads for big
-// meshes (see ARCHITECTURE.md, "Parallel engine"). The fired event
-// schedule is bit-identical at any worker count, so the breakdown,
-// fingerprint, and every artifact — including -trace, -timeline,
-// -metrics, and -spans output — are byte-identical to a sequential
-// run: globally-ordered instrumentation records shard-locally and is
-// replayed in global (time, seq) order at each merge barrier. Only
-// AURC falls back to a sequential engine (its update path mutates
-// remote nodes' state inline).
-//
 // -engine-profile FILE writes the engine's self-profile (schema
-// dsm96/engine-profile/v1): merge-window and deferred-replay
-// accounting plus lookahead-window histograms in a deterministic
-// block, and per-shard busy/merge-wait wall time in a host block.
+// dsm96/engine-profile/v1): the fired event count in a deterministic
+// block, and the run's wall time and host CPU counts in a host block.
 // `metricsdiff -engine-profile a b` compares the deterministic block
 // exactly while ignoring the host block.
 package main
@@ -148,7 +137,6 @@ func main() {
 	ctrlCrash := flag.String("ctrl-crash", "", "crash controllers: NODE@CYCLE,... (NODE may be \"all\")")
 	ctrlHang := flag.String("ctrl-hang", "", "hang controllers: NODE@CYCLE+WINDOW,... (NODE may be \"all\")")
 	watchdog := flag.Int64("watchdog", 0, "liveness watchdog window in cycles (0 = default, negative = off)")
-	workers := flag.Int("workers", 1, "shard the event engine across this many OS threads (schedule and every artifact stay bit-identical; AURC falls back to 1)")
 	timelineOut := flag.String("timeline", "", "write a Perfetto-loadable timeline (Chrome trace-event JSON) to this file")
 	metricsOut := flag.String("metrics", "", "write machine-readable run metrics JSON to this file")
 	spansOut := flag.String("spans", "", "write one causal span per blocking protocol operation as JSONL to this file")
@@ -274,7 +262,6 @@ func main() {
 		spec.Faults = plan
 	}
 	spec.Watchdog = sim.Time(*watchdog)
-	spec.Workers = *workers
 	res, err := core.Run(cfg, spec, app)
 	if err != nil {
 		if res != nil && res.Stall != nil {
@@ -326,8 +313,7 @@ func main() {
 	if *engineProfileOut != "" {
 		prof := res.EngineProfile
 		writeArtifact(*engineProfileOut, prof.WriteJSON)
-		fmt.Printf("  engine-profile: %s (%d worker(s), %d window(s), merge-wait %.1f%% of shard wall time)\n",
-			*engineProfileOut, prof.Workers, prof.Deterministic.Windows, 100*prof.MergeWaitFraction())
+		fmt.Printf("  engine-profile: %s (%d events)\n", *engineProfileOut, prof.Deterministic.EventsRun)
 	}
 	if res.Spans != nil {
 		ov := res.Spans.Overlap

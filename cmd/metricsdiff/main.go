@@ -24,25 +24,12 @@
 // schema tag — the gate that makes a schema bump (v2 -> v3) a
 // deliberate, golden-regenerating act rather than silent drift.
 //
-// -bench switches to benchmark-snapshot comparison (cmd/bench -out,
-// schema dsm96/bench/v1): the determinism fields of every cell
-// (fingerprint, events, sim_cycles) must match exactly, throughput
-// fields (events_per_sec, wall_ns) may drift by -bench-tol relative,
-// and the host block is ignored — so a re-measured snapshot passes as
-// long as the engine still fires the same schedule and stays in the
-// same performance envelope:
-//
-//	metricsdiff -bench BENCH_parallel_engine.json new.json
-//	metricsdiff -bench -bench-tol 0.25 old.json new.json
-//
 // -engine-profile switches to engine self-profile comparison (dsmsim
-// -engine-profile / cmd/bench -engine-profile output, schema
-// dsm96/engine-profile/v1): the deterministic block — window counts,
-// replayed-action totals, lookahead histograms, per-shard event counts
-// — must match exactly (it is a pure function of the simulated
-// schedule and the worker count), while the host block (wall-clock
-// timings, CPU counts) is ignored entirely; it measures the machine,
-// not the simulator:
+// -engine-profile output, schema dsm96/engine-profile/v1): the
+// deterministic block — the fired event count — must match exactly (it
+// is a pure function of the simulated schedule), while the host block
+// (wall-clock timings, CPU counts) is ignored entirely; it measures the
+// machine, not the simulator:
 //
 //	metricsdiff -engine-profile run1.json run2.json
 //
@@ -64,7 +51,7 @@
 //
 // This is the `make trend` gate: a ladder cell whose cycle count or
 // event fingerprint moves fails with the named dotted path
-// (cells.<profile>/<app>/<proto>/pN/wM.cycles), so protocol changes
+// (cells.<profile>/<app>/<proto>/pN/w1.cycles), so protocol changes
 // re-snapshot deliberately instead of drifting silently.
 //
 // Exit status: 0 when the artifacts match, 1 on drift (each drifted
@@ -196,15 +183,10 @@ func main() {
 		})
 	allowExtra := flag.Bool("allow-extra", false, "tolerate keys present only in the new file")
 	schema := flag.String("schema", "", "require both files to carry exactly this schema tag")
-	bench := flag.Bool("bench", false, "compare dsm96/bench/v1 snapshots: determinism fields exact, throughput within -bench-tol, host block ignored")
-	benchTol := flag.Float64("bench-tol", 0.5, "relative tolerance on events_per_sec and wall_ns in -bench mode")
 	trend := flag.Bool("trend", false, "compare dsm96/trend/v1 records: per-cell determinism exact, throughput within -trend-tol and only across equal host classes")
 	trendTol := flag.Float64("trend-tol", 0.5, "relative tolerance on cell throughput in -trend mode (same host class only)")
 	engineProfile := flag.Bool("engine-profile", false, "compare dsm96/engine-profile/v1 profiles: deterministic block exact, host block (wall-clock timings) ignored")
 	flag.Parse()
-	if *bench && *schema == "" {
-		*schema = "dsm96/bench/v1"
-	}
 	if *trend && *schema == "" {
 		*schema = pipeline.TrendSchema
 	}
@@ -254,12 +236,12 @@ func main() {
 		return strings.HasSuffix(path, ".events_per_sec") || strings.HasSuffix(path, ".wall_ns")
 	}
 	ignored := func(path string) bool {
-		// Bench, trend, and engine-profile records carry the measuring
-		// host for provenance; two honest records from different
-		// machines must still compare. For engine profiles the host
-		// block also holds every wall-clock timing — the whole
-		// host-dependent half of the artifact.
-		if (*bench || *trend || *engineProfile) && strings.HasPrefix(path, "host.") {
+		// Trend and engine-profile records carry the measuring host for
+		// provenance; two honest records from different machines must
+		// still compare. For engine profiles the host block also holds
+		// the wall-clock timing — the whole host-dependent half of the
+		// artifact.
+		if (*trend || *engineProfile) && strings.HasPrefix(path, "host.") {
 			return true
 		}
 		// Trend sequence position and label are bookkeeping, and
@@ -281,13 +263,10 @@ func main() {
 		// The last matching -tol wins, so broad patterns can be
 		// overridden by later, more specific ones.
 		frac := 0.0
-		if (*bench || *trend) && throughput(path) {
+		if *trend && throughput(path) {
 			// Throughput wobbles run to run; fingerprints, event counts,
 			// and simulated cycles stay exact (the engine's contract).
-			frac = *benchTol
-			if *trend {
-				frac = *trendTol
-			}
+			frac = *trendTol
 		}
 		for _, p := range tols {
 			if p.matches(path) {

@@ -34,12 +34,7 @@
 //
 // Independent sweep cells run on a worker pool (-j N; 0 = one worker per
 // CPU); each cell is a self-contained deterministic simulation, so the
-// figure output is identical for any -j. Orthogonally, -workers N shards
-// the event engine inside each cell across N OS threads
-// (core.Spec.Workers): the fired event schedule — and with it every
-// figure, fingerprint, and metrics artifact — is bit-identical at any
-// worker count, so -workers is purely a wall-clock lever for big
-// meshes. A progress line tracks
+// figure output is identical for any -j. A progress line tracks
 // completed cells on stderr (suppress with -q). With -metrics DIR, every
 // completed cell additionally writes machine-readable run metrics JSON
 // to DIR/cell-<seq>-<app>-<protocol>-p<procs>.json, where <seq> is the
@@ -85,7 +80,6 @@ func main() {
 	all := flag.Bool("all", false, "run all six sweeps")
 	scale := flag.String("scale", "default", "problem scale: tiny, default, paper")
 	jobs := flag.Int("j", 0, "simulation worker pool size (0 = one worker per CPU)")
-	engWorkers := flag.Int("workers", 1, "shard each cell's event engine across this many OS threads (schedules stay bit-identical)")
 	quiet := flag.Bool("q", false, "suppress the stderr progress line")
 	metricsDir := flag.String("metrics", "", "write per-cell run metrics JSON files into this directory")
 	spansDir := flag.String("spans", "", "write per-cell causal span JSONL files into this directory")
@@ -103,7 +97,6 @@ func main() {
 		})
 	}
 	experiments.SetWorkers(*jobs)
-	experiments.SetEngineWorkers(*engWorkers)
 	if *profileArg != "" {
 		prof, err := params.ResolveProfile(*profileArg)
 		if err != nil {

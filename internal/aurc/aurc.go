@@ -525,7 +525,7 @@ func (n *anode) serveCPU(cost sim.Time, fn func()) {
 func (n *anode) serveCPUSpan(cost sim.Time, op *spans.Op, fn func()) {
 	n.st.Interrupts++
 	start, end := n.cpu.Reserve(n.pr.eng, n.pr.cfg.InterruptTime+cost)
-	op.Mark(n.pr.eng, spans.StageQueue, start)
-	op.Mark(n.pr.eng, spans.StageRemote, end)
+	op.Mark(spans.StageQueue, start)
+	op.Mark(spans.StageRemote, end)
 	n.pr.eng.At(end, fn)
 }

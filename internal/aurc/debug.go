@@ -32,16 +32,12 @@ func (pr *Protocol) SetTimeline(rec *timeline.Recorder) { pr.rec = rec }
 func (pr *Protocol) SetSpans(tr *spans.Tracker) { pr.sp = tr }
 
 // emit records a structured protocol event (no-op without a tracer).
-// The append goes through Deferred for symmetry with tmk's emit; AURC
-// pins itself sequential (core.Run), so this is always an inline call.
 func (n *anode) emit(pg int, kind trace.Kind, format string, args ...any) {
 	if n.pr.tracer == nil {
 		return
 	}
-	ev := trace.Event{
+	n.pr.tracer.Emit(trace.Event{
 		Time: n.pr.eng.Now(), Node: n.id, Page: pg, Kind: kind,
 		Detail: fmt.Sprintf(format, args...),
-	}
-	tracer := n.pr.tracer
-	n.pr.eng.Deferred(func() { tracer.Emit(ev) })
+	})
 }

@@ -28,7 +28,7 @@ func (n *anode) fault(p *sim.Proc, pg int, pe *page, d *pageDir) {
 		f.gate.Wait(p, reasonFetch)
 		// The whole wait rode a transaction someone else started
 		// (typically a prefetch): attribute it to remote service.
-		op.Mark(n.pr.eng, spans.StageRemote, p.Now())
+		op.Mark(spans.StageRemote, p.Now())
 		n.pr.sp.End(op, p.Now())
 		return
 	}
@@ -51,7 +51,7 @@ func (n *anode) startFetch(p *sim.Proc, pg int, pe *page, d *pageDir, f *fetchOp
 		n.waitUpdatesDrained(func() {
 			// The whole wait was draining in-flight updates: the remote
 			// writers' traffic is the "service" this fetch waited on.
-			f.op.Mark(n.pr.eng, spans.StageRemote, n.pr.eng.Now())
+			f.op.Mark(spans.StageRemote, n.pr.eng.Now())
 			n.completeFetch(pg, pe, f)
 		})
 		return
@@ -86,12 +86,12 @@ func (n *anode) servePageReq(from, pg int, f *fetchOp) {
 	requester := n.pr.nodes[from]
 	// The request is off the wire; the serve window closes the queueing
 	// stage and opens remote service.
-	f.op.Mark(n.pr.eng, spans.StageWire, n.pr.eng.Now())
+	f.op.Mark(spans.StageWire, n.pr.eng.Now())
 	n.serveCPUSpan(pageReqCost, f.op, func() {
 		n.waitUpdatesDrained(func() {
 			// Capture the page at this instant. The drain extended the
 			// remote stage to here.
-			f.op.Mark(n.pr.eng, spans.StageRemote, n.pr.eng.Now())
+			f.op.Mark(spans.StageRemote, n.pr.eng.Now())
 			data := append([]byte(nil), n.frames.Page(pg)...)
 			n.mem.MemTouch(cfg.PageSize)
 			bytes := updateHeaderBytes + cfg.PageSize
@@ -111,7 +111,7 @@ func (n *anode) receivePage(pg int, data []byte, f *fetchOp) {
 		n.st.DupMsgsSuppressed++
 		return
 	}
-	f.op.Mark(n.pr.eng, spans.StageReply, n.pr.eng.Now())
+	f.op.Mark(spans.StageReply, n.pr.eng.Now())
 	n.frames.CopyPage(pg, data)
 	n.mem.DMA(len(data))
 	n.mem.InvalidatePage(int64(pg) * int64(n.pr.cfg.PageSize))

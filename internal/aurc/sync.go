@@ -152,7 +152,7 @@ func (pr *Protocol) Lock(p *sim.Proc, id int, lock int) {
 }
 
 func (n *anode) homeForward(lock int, req lockReq) {
-	req.op.Mark(n.pr.eng, spans.StageWire, n.pr.eng.Now())
+	req.op.Mark(spans.StageWire, n.pr.eng.Now())
 	lk := n.lock(lock)
 	prev := lk.tail
 	lk.tail = req.from
@@ -169,7 +169,7 @@ func (n *anode) homeForward(lock int, req lockReq) {
 }
 
 func (n *anode) receiveLockReq(lock int, req lockReq) {
-	req.op.Mark(n.pr.eng, spans.StageQueue, n.pr.eng.Now())
+	req.op.Mark(spans.StageQueue, n.pr.eng.Now())
 	lk := n.lock(lock)
 	if lk.hasToken && !lk.inCS {
 		lk.hasToken = false
@@ -207,7 +207,7 @@ func (n *anode) grantLockFromProc(p *sim.Proc, lock int, req lockReq) {
 	// From the acquirer's point of view the cycles up to here — waiting
 	// out the holder's critical section and the grant assembly — are all
 	// remote service.
-	req.op.Mark(n.pr.eng, spans.StageRemote, p.Now())
+	req.op.Mark(spans.StageRemote, p.Now())
 }
 
 func (n *anode) receiveGrant(lock int, ivs []*lrc.Interval, grantVTS lrc.VTS, op *spans.Op) {
@@ -217,7 +217,7 @@ func (n *anode) receiveGrant(lock int, ivs []*lrc.Interval, grantVTS lrc.VTS, op
 		n.st.DupMsgsSuppressed++
 		return
 	}
-	op.Mark(n.pr.eng, spans.StageReply, n.pr.eng.Now())
+	op.Mark(spans.StageReply, n.pr.eng.Now())
 	cost := n.pr.cfg.InterruptTime + n.listCost(ivs)
 	_, end := n.cpu.Reserve(n.pr.eng, cost)
 	n.pr.eng.At(end, func() {
@@ -230,7 +230,7 @@ func (n *anode) receiveGrant(lock int, ivs []*lrc.Interval, grantVTS lrc.VTS, op
 		n.vts.Max(grantVTS)
 		lk.hasToken = true
 		lk.inCS = true
-		op.Mark(n.pr.eng, spans.StageController, n.pr.eng.Now())
+		op.Mark(spans.StageController, n.pr.eng.Now())
 		n.emit(-1, trace.KindLock, "acquired lock=%d ivs=%d", lock, len(ivs))
 		lk.gate.Open(n.pr.eng)
 		lk.gate = nil
@@ -301,7 +301,7 @@ func (pr *Protocol) Barrier(p *sim.Proc, id int, bar int) {
 	} else {
 		bytes := requestWireBytes + myVTS.WireBytes() + intervalsWireBytes(own, pr.cfg.Processors)
 		n.sendFromProc(p, reasonBarrier, barrierManager, bytes, func() {
-			op.Mark(pr.eng, spans.StageWire, pr.eng.Now())
+			op.Mark(spans.StageWire, pr.eng.Now())
 			mgr.barrierArrive(bar, id, myVTS, own)
 		})
 	}
@@ -351,13 +351,13 @@ func (n *anode) barrierReleaseAll(b *barrier) {
 }
 
 func (n *anode) barrierRelease(ivs []*lrc.Interval, globalVTS lrc.VTS, local bool) {
-	n.barrierOp.Mark(n.pr.eng, spans.StageRemote, n.pr.eng.Now())
+	n.barrierOp.Mark(spans.StageRemote, n.pr.eng.Now())
 	finish := func() {
 		n.integrate(ivs)
 		n.vts.Max(globalVTS)
 		n.lastBarrierVTS = globalVTS.Clone()
 		if n.barrierGate != nil {
-			n.barrierOp.Mark(n.pr.eng, spans.StageController, n.pr.eng.Now())
+			n.barrierOp.Mark(spans.StageController, n.pr.eng.Now())
 			g := n.barrierGate
 			n.barrierGate = nil
 			g.Open(n.pr.eng)

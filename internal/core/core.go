@@ -75,20 +75,6 @@ type Spec struct {
 	// Result.Spans. Nil — the default — leaves the instrumentation
 	// structurally absent, exactly as for Timeline.
 	Spans *spans.Tracker
-	// Workers shards the event engine across this many OS threads
-	// (sim.Engine.Parallelize), partitioning the mesh into contiguous
-	// node bands with conservative lookahead from the network's minimum
-	// cross-node delivery latency. The fired event schedule — and with it
-	// the fingerprint, golden cycles, and every metric — is bit-identical
-	// at any worker count. 0 or 1 runs sequentially. Clamped to the
-	// processor count. Traced, timeline, and span-tracked runs shard like
-	// any other: their globally-ordered writes (trace ring appends, span
-	// IDs and completion order) are logged shard-locally and replayed in
-	// global (time, seq) order at the merge barrier, so every artifact is
-	// byte-identical at any worker count. Only AURC falls back to 1
-	// worker — its update path reads and writes remote nodes' protocol
-	// state inline, which the shard partitioning cannot express.
-	Workers int
 }
 
 // String returns the paper's label for the protocol.
@@ -176,10 +162,10 @@ type Result struct {
 	// elided parks, heap high-water mark) for diagnostics and benchmarks.
 	EngineStats sim.Stats
 	// EngineProfile is the engine's self-profile (schema
-	// dsm96/engine-profile/v1): window/merge-round accounting and
-	// per-shard busy/merge-wait wall time. Always present; the
-	// deterministic block is schedule-determined, the host block is
-	// wall-clock (see sim.EngineProfile).
+	// dsm96/engine-profile/v1): the fired event count and Run's wall
+	// time. Always present; the deterministic block is
+	// schedule-determined, the host block is wall-clock (see
+	// sim.EngineProfile).
 	EngineProfile *sim.EngineProfile
 	// Protocol is the spec's label.
 	Protocol string
@@ -246,20 +232,6 @@ func Run(cfg params.Config, spec Spec, app dsm.App) (*Result, error) {
 	case spec.Watchdog == 0:
 		eng.SetWatchdog(DefaultWatchdog)
 	}
-	if workers := spec.Workers; workers > 1 {
-		// AURC applies remote updates by reaching into other nodes' state
-		// inline, so it alone pins the engine sequential — same schedule,
-		// same results, just unsharded. Everything else shards, including
-		// traced, timeline, and span-tracked runs: instrumentation whose
-		// order is global (the trace ring, span IDs, span completion)
-		// records shard-locally through sim.Engine.Deferred and is merged
-		// in global (time, seq) order at the barrier, so the artifacts are
-		// byte-identical at any worker count (see internal/spans and
-		// tmk's emit).
-		if spec.Kind != KindAURC {
-			eng.Parallelize(workers, cfg.Processors, network.MinDeliveryLookahead(&cfg))
-		}
-	}
 	net := network.New(&cfg, eng, cfg.Processors)
 	net.InstallFaults(faults.NewModel(spec.Faults, cfg.Processors))
 	var sys system
@@ -295,10 +267,7 @@ func Run(cfg params.Config, spec Spec, app dsm.App) (*Result, error) {
 	if spec.Spans != nil {
 		// After SetTimeline (the controller trace hook chains onto the
 		// recorder's) and before InstallProc (the charging accounting hook
-		// must be the one installed). Bind resolves each node's shard view
-		// so the tracker's globally-ordered writes defer to the merge
-		// barrier on a sharded engine.
-		spec.Spans.Bind(eng)
+		// must be the one installed).
 		net.SetSpans(spec.Spans)
 		if sp, ok := sys.(interface{ SetSpans(*spans.Tracker) }); ok {
 			sp.SetSpans(spec.Spans)

@@ -254,3 +254,45 @@ func TestTracerPlumbing(t *testing.T) {
 		}
 	}
 }
+
+// deadlockApp wedges every processor but 0: they block forever on a
+// lock that processor 0 acquires and never releases. The sequential
+// oracle only runs processor 0's body, so the app itself is "correct";
+// the simulated run must be caught by the liveness machinery.
+type deadlockApp struct{ addr dsm.Addr }
+
+func (a *deadlockApp) Name() string { return "deadlock" }
+func (a *deadlockApp) Setup(h *lrc.Heap) {
+	a.addr = h.Alloc(8, 8)
+}
+func (a *deadlockApp) Body(env *dsm.Env) {
+	if env.ID == 0 {
+		env.Lock(0)
+		env.WI(a.addr, 1)
+		env.Compute(1000)
+		return // exits holding lock 0
+	}
+	env.Compute(2000)
+	env.Lock(0) // blocks forever
+	env.Unlock(0)
+}
+func (a *deadlockApp) Result() float64 { return 1 }
+
+// TestStallStructured: when the mesh wedges, the caller gets a
+// structured stall report naming the blocked processors alongside the
+// error, never a hung process.
+func TestStallStructured(t *testing.T) {
+	res, err := core.Run(params.Default(), core.TM(tmk.Base), &deadlockApp{})
+	if err == nil {
+		t.Fatal("wedged run reported success")
+	}
+	if res == nil || res.Stall == nil {
+		t.Fatalf("no structured stall report (err: %v)", err)
+	}
+	if !res.Stall.Deadlock {
+		t.Errorf("stall not classified as deadlock: %+v", res.Stall)
+	}
+	if len(res.Stall.Report.Blocked) == 0 {
+		t.Error("stall report names no blocked processors")
+	}
+}

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"dsm96/internal/apps"
@@ -29,7 +28,7 @@ type obsArtifacts struct {
 
 // runInstrumented executes one run with tracer+timeline+spans attached
 // and collects every artifact.
-func runInstrumented(t *testing.T, appName string, spec core.Spec, procs, workers int) obsArtifacts {
+func runInstrumented(t *testing.T, appName string, spec core.Spec, procs int) obsArtifacts {
 	t.Helper()
 	app, err := apps.Tiny(appName)
 	if err != nil {
@@ -43,10 +42,9 @@ func runInstrumented(t *testing.T, appName string, spec core.Spec, procs, worker
 	spec.Tracer = tracer
 	spec.Timeline = rec
 	spec.Spans = tracker
-	spec.Workers = workers
 	res, err := core.Run(cfg, spec, app)
 	if err != nil {
-		t.Fatalf("%s workers=%d: %v", appName, workers, err)
+		t.Fatalf("%s: %v", appName, err)
 	}
 	out := obsArtifacts{fingerprint: res.EventFingerprint, profile: res.EngineProfile}
 	var buf bytes.Buffer
@@ -68,14 +66,13 @@ func runInstrumented(t *testing.T, appName string, spec core.Spec, procs, worker
 	return out
 }
 
-// TestObservabilityWorkerParity is the parallel-observability wall: with
-// the full instrumentation stack attached (trace buffer, timeline
-// recorder, span tracker), the Perfetto timeline, run-metrics JSON,
-// spans JSONL, and rendered trace must be byte-identical at every
-// worker count — and the schedule fingerprint must equal the
-// uninstrumented run's, proving the deferred-merge transport neither
-// reorders instrumentation nor perturbs the simulation.
-func TestObservabilityWorkerParity(t *testing.T) {
+// TestObservabilityRepeatParity is the observability wall: with the
+// full instrumentation stack attached (trace buffer, timeline recorder,
+// span tracker), the Perfetto timeline, run-metrics JSON, spans JSONL,
+// and rendered trace must be byte-identical across repeat runs — and
+// the schedule fingerprint must equal the uninstrumented run's, proving
+// the observers neither reorder themselves nor perturb the simulation.
+func TestObservabilityRepeatParity(t *testing.T) {
 	type pt struct {
 		app  string
 		spec core.Spec
@@ -87,10 +84,8 @@ func TestObservabilityWorkerParity(t *testing.T) {
 		{"radix", core.TM(tmk.Base), "radix/Base"},
 		{"radix", core.TM(tmk.IPD), "radix/I+P+D"},
 	}
-	workerCounts := []int{1, 2, 4, 8}
 	if testing.Short() {
 		points = points[:2]
-		workerCounts = []int{1, 4}
 	}
 	for _, p := range points {
 		p := p
@@ -102,57 +97,46 @@ func TestObservabilityWorkerParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare := p.spec
-			bare.Workers = 1
-			bareRes, err := core.Run(params.Default(), bare, app)
+			bareRes, err := core.Run(params.Default(), p.spec, app)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ref obsArtifacts
-			for _, w := range workerCounts {
-				got := runInstrumented(t, p.app, p.spec, 16, w)
-				if got.fingerprint != bareRes.EventFingerprint {
-					t.Errorf("workers=%d: instrumented fingerprint %016x, uninstrumented %016x",
-						w, got.fingerprint, bareRes.EventFingerprint)
-				}
-				if w == workerCounts[0] {
-					ref = got
-					continue
-				}
-				if !bytes.Equal(got.perfetto, ref.perfetto) {
-					t.Errorf("workers=%d: Perfetto timeline differs from workers=%d (%d vs %d bytes)",
-						w, workerCounts[0], len(got.perfetto), len(ref.perfetto))
-				}
-				if !bytes.Equal(got.metrics, ref.metrics) {
-					t.Errorf("workers=%d: run-metrics JSON differs from workers=%d",
-						w, workerCounts[0])
-				}
-				if !bytes.Equal(got.spansJSONL, ref.spansJSONL) {
-					t.Errorf("workers=%d: spans JSONL differs from workers=%d (%d vs %d bytes)",
-						w, workerCounts[0], len(got.spansJSONL), len(ref.spansJSONL))
-				}
-				if got.traceText != ref.traceText {
-					t.Errorf("workers=%d: rendered trace differs from workers=%d",
-						w, workerCounts[0])
-				}
+			a := runInstrumented(t, p.app, p.spec, 16)
+			b := runInstrumented(t, p.app, p.spec, 16)
+			if a.fingerprint != bareRes.EventFingerprint {
+				t.Errorf("instrumented fingerprint %016x, uninstrumented %016x",
+					a.fingerprint, bareRes.EventFingerprint)
+			}
+			if !bytes.Equal(a.perfetto, b.perfetto) {
+				t.Errorf("Perfetto timeline differs across repeats (%d vs %d bytes)",
+					len(a.perfetto), len(b.perfetto))
+			}
+			if !bytes.Equal(a.metrics, b.metrics) {
+				t.Error("run-metrics JSON differs across repeats")
+			}
+			if !bytes.Equal(a.spansJSONL, b.spansJSONL) {
+				t.Errorf("spans JSONL differs across repeats (%d vs %d bytes)",
+					len(a.spansJSONL), len(b.spansJSONL))
+			}
+			if a.traceText != b.traceText {
+				t.Error("rendered trace differs across repeats")
 			}
 		})
 	}
 }
 
-// TestObservabilityParityLargeMesh is the ISSUE's acceptance cell:
-// water under I+P+D on a 128-processor mesh with spans, timeline, and
-// trace enabled must produce byte-identical artifacts at workers=4 and
-// workers=1.
+// TestObservabilityParityLargeMesh is the same wall on a 128-processor
+// mesh: water under I+P+D with spans, timeline, and trace enabled must
+// produce byte-identical artifacts across repeat runs.
 func TestObservabilityParityLargeMesh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("128-processor mesh in short mode")
 	}
 	spec := core.TM(tmk.IPD)
-	a := runInstrumented(t, "water", spec, 128, 1)
-	b := runInstrumented(t, "water", spec, 128, 4)
+	a := runInstrumented(t, "water", spec, 128)
+	b := runInstrumented(t, "water", spec, 128)
 	if a.fingerprint != b.fingerprint {
-		t.Errorf("fingerprint %016x (w=1) vs %016x (w=4)", a.fingerprint, b.fingerprint)
+		t.Errorf("fingerprint %016x vs %016x across repeats", a.fingerprint, b.fingerprint)
 	}
 	if !bytes.Equal(a.perfetto, b.perfetto) {
 		t.Errorf("Perfetto timeline differs (%d vs %d bytes)", len(a.perfetto), len(b.perfetto))
@@ -172,66 +156,42 @@ func TestObservabilityParityLargeMesh(t *testing.T) {
 // profile always carries the dsm96/engine-profile/v1 schema tag, and
 // its deterministic block is byte-identical across repeat runs of the
 // same configuration — the property metricsdiff -engine-profile gates.
-// The host block (wall-clock timings) is intentionally unchecked.
+// The host block (wall-clock timings) is intentionally unchecked. The
+// engine runs every simulation on one worker, so that is the one case.
 func TestEngineProfileDeterministic(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		w := w
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			t.Parallel()
-			run := func() *sim.EngineProfile {
-				app, err := apps.Tiny("water")
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec := core.TM(tmk.IPD)
-				spec.Workers = w
-				res, err := core.Run(params.Default(), spec, app)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.EngineProfile == nil {
-					t.Fatal("Result.EngineProfile is nil")
-				}
-				return res.EngineProfile
-			}
-			a, b := run(), run()
-			if a.Schema != sim.EngineProfileSchema {
-				t.Errorf("schema %q, want %q", a.Schema, sim.EngineProfileSchema)
-			}
-			if a.Workers != w {
-				t.Errorf("profile workers %d, want %d", a.Workers, w)
-			}
-			da, err := json.Marshal(a.Deterministic)
+	t.Run("workers=1", func(t *testing.T) {
+		run := func() (*sim.EngineProfile, uint64) {
+			app, err := apps.Tiny("water")
 			if err != nil {
 				t.Fatal(err)
 			}
-			db, err := json.Marshal(b.Deterministic)
+			res, err := core.Run(params.Default(), core.TM(tmk.IPD), app)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(da, db) {
-				t.Errorf("deterministic block differs across repeats:\n a: %s\n b: %s", da, db)
+			if res.EngineProfile == nil {
+				t.Fatal("Result.EngineProfile is nil")
 			}
-			if w > 1 {
-				d := &a.Deterministic
-				if d.Windows == 0 {
-					t.Error("parallel run reports zero merge windows")
-				}
-				if len(d.Shards) != w {
-					t.Errorf("profile has %d shard entries, want %d", len(d.Shards), w)
-				}
-				var shardEvents uint64
-				for _, s := range d.Shards {
-					shardEvents += s.Events
-				}
-				if shardEvents != d.EventsRun {
-					t.Errorf("shard events sum %d != events_run %d", shardEvents, d.EventsRun)
-				}
-				if d.WindowEvents.Count != d.Windows {
-					t.Errorf("window_events histogram count %d != windows %d",
-						d.WindowEvents.Count, d.Windows)
-				}
-			}
-		})
-	}
+			return res.EngineProfile, res.EventsRun
+		}
+		a, events := run()
+		b, _ := run()
+		if a.Schema != sim.EngineProfileSchema {
+			t.Errorf("schema %q, want %q", a.Schema, sim.EngineProfileSchema)
+		}
+		if a.Deterministic.EventsRun != events {
+			t.Errorf("profile events_run %d, Result.EventsRun %d", a.Deterministic.EventsRun, events)
+		}
+		da, err := json.Marshal(a.Deterministic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := json.Marshal(b.Deterministic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(da, db) {
+			t.Errorf("deterministic block differs across repeats:\n a: %s\n b: %s", da, db)
+		}
+	})
 }

@@ -8,7 +8,7 @@ import (
 // Cell is one externally-specified simulation: the experiment pipeline
 // (internal/pipeline) builds these from an experiments.json grid and
 // runs them on the same bounded worker pool the figures use, so
-// SetWorkers/SetProgress/SetEngineWorkers apply uniformly.
+// SetWorkers/SetProgress apply uniformly.
 type Cell struct {
 	App   string
 	Spec  core.Spec

@@ -157,46 +157,3 @@ func TestChaosSweep(t *testing.T) {
 		}
 	}
 }
-
-// TestChaosParallelParity is the sharded-engine leg of the chaos gate:
-// chaos cells rerun with the event engine split across 4 workers
-// (sweep -chaos -workers 4) must pass the sequential oracle inside
-// core.Run and fire the exact schedule the sequential engine fires —
-// fault injection, controller failover, and retransmission timing
-// included. In -short mode only the radix column runs.
-func TestChaosParallelParity(t *testing.T) {
-	names := []string{"tsp", "water", "radix"}
-	if testing.Short() {
-		names = names[2:]
-	}
-	cfg := params.Default()
-	for _, name := range names {
-		for _, proto := range []core.Spec{core.TM(tmk.Base), core.TM(tmk.IPD)} {
-			name, proto := name, proto
-			t.Run(name+"/"+proto.String(), func(t *testing.T) {
-				t.Parallel()
-				run := func(workers int) *core.Result {
-					app, err := apps.Tiny(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					spec := proto
-					spec.Faults = ChaosPlan(1, cfg.Processors)
-					spec.Workers = workers
-					res, err := core.Run(cfg, spec, app)
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					return res
-				}
-				seq, par := run(1), run(4)
-				if seq.EventFingerprint != par.EventFingerprint ||
-					seq.RunningTime != par.RunningTime || seq.EventsRun != par.EventsRun {
-					t.Errorf("workers=4 chaos run diverged: fp %016x/%016x cycles %d/%d events %d/%d",
-						par.EventFingerprint, seq.EventFingerprint,
-						par.RunningTime, seq.RunningTime, par.EventsRun, seq.EventsRun)
-				}
-			})
-		}
-	}
-}

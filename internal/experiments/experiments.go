@@ -125,12 +125,6 @@ var (
 	// so the observer can export per-operation spans. Off by default:
 	// span collection allocates per blocking operation.
 	poolSpans bool
-	// poolEngineWorkers, when > 1, shards every run's event engine
-	// across that many OS threads (core.Spec.Workers). The schedule is
-	// bit-identical either way, so figures and fingerprints are
-	// unaffected; runs whose instrumentation pins them sequential
-	// (AURC, spans) simply ignore it.
-	poolEngineWorkers int
 	// poolBaseCfg, when non-nil, replaces params.Default() as the machine
 	// every figure, sweep, and ablation runs on (cmd/sweep -profile). The
 	// default — nil — is Table 1, so existing goldens are untouched.
@@ -202,18 +196,6 @@ func SetSpans(on bool) {
 	poolMu.Unlock()
 }
 
-// SetEngineWorkers shards every subsequent run's event engine across n
-// OS threads (cmd/sweep -workers). Unlike SetWorkers — which runs whole
-// independent simulations concurrently — this parallelizes inside each
-// simulation; the fired event schedule stays bit-identical, so every
-// figure, fingerprint, and metrics artifact is unchanged. n <= 1
-// restores sequential engines.
-func SetEngineWorkers(n int) {
-	poolMu.Lock()
-	poolEngineWorkers = n
-	poolMu.Unlock()
-}
-
 // SetBaseConfig installs cfg as the machine model every subsequent
 // figure, sweep, and ablation runs on — how cmd/sweep plumbs -profile
 // through the whole evaluation. nil restores params.Default() (Table 1).
@@ -249,7 +231,6 @@ func execute(specs []runSpec) {
 	poolTotal += len(specs)
 	progress, observer := poolProgress, poolObserver
 	withSpans := poolSpans
-	engWorkers := poolEngineWorkers
 	remote := poolRemote
 	poolMu.Unlock()
 	if workers <= 0 {
@@ -273,9 +254,6 @@ func execute(specs []runSpec) {
 				case remote != nil && withSpans:
 					rs.out.Err = fmt.Errorf("experiments: per-run span collection cannot be served remotely")
 				case remote != nil:
-					if engWorkers > 1 && rs.spec.Workers == 0 {
-						rs.spec.Workers = engWorkers
-					}
 					start := time.Now()
 					res, rerr := remote(RemoteRun{App: rs.app, Spec: rs.spec, Cfg: rs.cfg, Scale: rs.scale})
 					rs.out.Wall = time.Since(start)
@@ -293,9 +271,6 @@ func execute(specs []runSpec) {
 					if withSpans {
 						rs.spec.Spans = spans.NewTracker(rs.cfg.Processors)
 						rs.out.Spans = rs.spec.Spans
-					}
-					if engWorkers > 1 && rs.spec.Workers == 0 {
-						rs.spec.Workers = engWorkers
 					}
 					start := time.Now()
 					res, rerr := core.Run(rs.cfg, rs.spec, app)

@@ -87,21 +87,17 @@ type Network struct {
 	// Nil — the default — is a no-op receiver.
 	sp *spans.Tracker
 
-	// Counters. Message and reliability counts are kept per node — on a
-	// parallel engine each is written only from its owning shard (or from
-	// the serialized replay phase) — and summed by the accessors.
-	messages []uint64
-	bytes    []uint64
-	// rel counts injected faults and the transport's recovery work,
-	// per node. All-zero unless a fault model is installed.
-	rel []stats.Reliability
-	// unacked gauges reliable messages awaiting acknowledgement, per
-	// sending node (see Unacked).
-	unackedBy []int
+	// Counters.
+	messages uint64
+	bytes    uint64
+	// rel counts injected faults and the transport's recovery work.
+	// All-zero unless a fault model is installed.
+	rel stats.Reliability
+	// unacked gauges reliable messages awaiting acknowledgement (see
+	// Unacked).
+	unacked int
 
-	// LinkWaits is total queueing across all messages and links. It is a
-	// plain field (not per-node): only the wire walk touches it, and
-	// walks are serialized even on a parallel engine.
+	// LinkWaits is total queueing across all messages and links.
 	LinkWaits sim.Time
 }
 
@@ -114,42 +110,20 @@ func New(cfg *params.Config, eng *sim.Engine, n int) *Network {
 		cfg: cfg, eng: eng, n: n, dimX: dimX, dimY: dimY,
 		// dimX*dimY covers the full rectangle: X-Y routes can pass
 		// through grid positions beyond node n-1 on non-square meshes.
-		links:     make([]sim.Resource, dimX*dimY*numDirs),
-		egress:    make([]sim.Resource, n),
-		messages:  make([]uint64, n),
-		bytes:     make([]uint64, n),
-		rel:       make([]stats.Reliability, n),
-		unackedBy: make([]int, n),
+		links:  make([]sim.Resource, dimX*dimY*numDirs),
+		egress: make([]sim.Resource, n),
 	}
 }
 
-// Messages returns the total messages injected, across all nodes.
-func (nw *Network) Messages() uint64 {
-	var total uint64
-	for _, v := range nw.messages {
-		total += v
-	}
-	return total
-}
+// Messages returns the total messages injected.
+func (nw *Network) Messages() uint64 { return nw.messages }
 
-// Bytes returns the total payload bytes injected, across all nodes.
-func (nw *Network) Bytes() uint64 {
-	var total uint64
-	for _, v := range nw.bytes {
-		total += v
-	}
-	return total
-}
+// Bytes returns the total payload bytes injected.
+func (nw *Network) Bytes() uint64 { return nw.bytes }
 
-// Rel returns the merged reliability counter block across all nodes.
-// All-zero unless a fault model is installed.
-func (nw *Network) Rel() stats.Reliability {
-	var r stats.Reliability
-	for i := range nw.rel {
-		r.Merge(&nw.rel[i])
-	}
-	return r
-}
+// Rel returns the reliability counter block. All-zero unless a fault
+// model is installed.
+func (nw *Network) Rel() stats.Reliability { return nw.rel }
 
 // Dims returns the mesh dimensions.
 func (nw *Network) Dims() (x, y int) { return nw.dimX, nw.dimY }
@@ -260,68 +234,37 @@ func (nw *Network) SetSpans(tr *spans.Tracker) { nw.sp = tr }
 // cycles, charged before injection (callers pass cfg.MessagingOverhead
 // for ordinary messages, cfg.AURCUpdateOverhead for automatic updates).
 // done runs in engine context when the tail of the message arrives at
-// dst. Send itself never blocks.
+// dst. Send itself never blocks; it returns the cycle the tail is
+// scheduled to arrive — including link queueing and any injected delay,
+// and for a dropped message the cycle it would have arrived — which the
+// reliable transport bases its retry timeouts on, so they reflect the
+// congestion the message actually experienced.
 //
 // Timing: the head flit leaves the source overhead cycles from now; each
 // hop adds switch+wire latency, and the message body occupies every link
 // on the path for bytes/linkWidth cycles, queueing FCFS behind earlier
 // traffic on each link (wormhole back-pressure is approximated by
 // per-link serialization).
-func (nw *Network) Send(src, dst, bytes int, overhead sim.Time, done func()) {
-	nw.send(src, dst, bytes, overhead, done, nil)
-}
-
-// send is the full datagram path, split for the parallel engine into an
-// eager source-side prefix — counters, the send-instant clock read, the
-// egress reservation, all state owned by src's shard — and the wire
-// walk over the globally shared link resources, which runs through
-// View(src).Deferred: inline on a sequential engine, during the merge
-// barrier (in global fired order, with the clock at the send instant)
-// on a parallel one. post, when non-nil, receives the cycle the tail is
-// scheduled to arrive — including link queueing and any injected delay,
-// and for a dropped message the cycle it would have arrived — in that
-// same deferred context; the reliable transport bases retry timeouts on
-// it, so they reflect the congestion the message actually experienced.
-func (nw *Network) send(src, dst, bytes int, overhead sim.Time, done func(), post func(delivery sim.Time)) {
-	view := nw.eng.View(src)
-	nw.messages[src]++
-	nw.bytes[src] += uint64(bytes)
-	sent := view.Now()
+func (nw *Network) Send(src, dst, bytes int, overhead sim.Time, done func()) sim.Time {
+	nw.messages++
+	nw.bytes += uint64(bytes)
+	sent := nw.eng.Now()
 	// The network interface processes one send at a time: the message's
 	// per-message overhead occupies the sender's egress engine.
-	var head sim.Time
+	head := sent
 	if overhead > 0 {
-		_, head = nw.egress[src].Reserve(view, overhead)
-	} else {
-		head = sent
+		_, head = nw.egress[src].Reserve(nw.eng, overhead)
 	}
 	if src == dst {
-		// Local loopback: no links, just the overhead; stays entirely on
-		// the source's shard.
-		view.At(head, done)
-		return
+		// Local loopback: no links, just the overhead.
+		nw.eng.At(head, done)
+		return head
 	}
-	view.Deferred(func() {
-		delivery := nw.walk(src, dst, bytes, sent, head, done)
-		if post != nil {
-			post(delivery)
-		}
-	})
-}
-
-// walk reserves every link on the X-Y route (global state: links are
-// shared by all nodes), consults the fault model, and schedules the
-// delivery on the destination's view. It runs in global context — the
-// caller's own when sequential, the merge barrier when parallel — with
-// the engine clock at the message's send instant, so link contention
-// and fault decisions resolve in the global fired order either way.
-func (nw *Network) walk(src, dst, bytes int, sent, head sim.Time, done func()) sim.Time {
 	transfer := nw.cfg.NetTransferTime(bytes)
 	hop := nw.cfg.SwitchLatency + nw.cfg.WireLatency
 	arrive := head
 	// Walk the X-Y route link by link (X hops, then Y hops), reserving
-	// each in order — the old route() helper without its per-message
-	// path slice.
+	// each in order — route() without its per-message path slice.
 	x, y := nw.coords(src)
 	dx, dy := nw.coords(dst)
 	cur := src
@@ -352,34 +295,22 @@ func (nw *Network) walk(src, dst, bytes int, sent, head sim.Time, done func()) s
 			// Discarded at the destination NIC: the body crossed (and
 			// occupied) every link on the path, but done never runs. The
 			// wire window still counts — the network was busy either way.
-			nw.rel[src].MessagesDropped++
+			nw.rel.MessagesDropped++
 			nw.sp.NetSend(src, sent, delivery)
 			return delivery
 		}
 		if o.ExtraDelay > 0 {
-			nw.rel[src].MessagesDelayed++
+			nw.rel.MessagesDelayed++
 			delivery += o.ExtraDelay
 		}
 		if o.Duplicate {
-			nw.rel[src].MessagesDuplicated++
-			nw.eng.View(dst).At(delivery+o.DupDelay, done)
+			nw.rel.MessagesDuplicated++
+			nw.eng.At(delivery+o.DupDelay, done)
 		}
 	}
 	nw.sp.NetSend(src, sent, delivery)
-	nw.eng.View(dst).At(delivery, done)
+	nw.eng.At(delivery, done)
 	return delivery
-}
-
-// MinDeliveryLookahead returns a lower bound on the cycles between any
-// cross-node message's send instant and its earliest delivery: two
-// switch+wire hops (every route has at least one link, entered and
-// exited) plus the body transfer of the smallest wire message (the
-// 16-byte hardware ack). It is the conservative-lookahead bound the
-// parallel engine partitions time with (sim.Engine.Parallelize); the
-// engine asserts it loudly if a replayed delivery ever undercuts it.
-func MinDeliveryLookahead(cfg *params.Config) sim.Time {
-	hop := cfg.SwitchLatency + cfg.WireLatency
-	return 2*hop + cfg.NetTransferTime(ackBytes)
 }
 
 // InstallFaults interposes a fault model between Send and delivery and

@@ -30,9 +30,7 @@ const (
 
 // pairState is the per-ordered-pair sequencing state of the reliable
 // transport. The same entry serves the sender side (nextSeq) and the
-// receiver side (nextDeliver, held) of its pair; the two halves touch
-// disjoint fields, so on a parallel engine the sender's and receiver's
-// shards never write the same word.
+// receiver side (nextDeliver, held) of its pair.
 type pairState struct {
 	nextSeq     uint64            // sender: next sequence number to assign
 	nextDeliver uint64            // receiver: lowest sequence not yet delivered
@@ -68,7 +66,7 @@ func (nw *Network) SendReliable(src, dst, bytes int, overhead sim.Time, deliver 
 	ps := &nw.pairs[src*nw.n+dst]
 	m := &pendingMsg{src: src, dst: dst, bytes: bytes, seq: ps.nextSeq, deliver: deliver}
 	ps.nextSeq++
-	nw.unackedBy[src]++
+	nw.unacked++
 	nw.transmit(m, overhead)
 }
 
@@ -76,39 +74,28 @@ func (nw *Network) SendReliable(src, dst, bytes int, overhead sim.Time, deliver 
 // acknowledgement — the retransmission machinery's in-flight gauge,
 // read by liveness stall reports. Always 0 without a fault model (the
 // reliable path is then a verbatim datagram send).
-func (nw *Network) Unacked() int {
-	total := 0
-	for _, v := range nw.unackedBy {
-		total += v
-	}
-	return total
-}
+func (nw *Network) Unacked() int { return nw.unacked }
 
 // transmit puts one physical copy of m on the wire and arms its retry
-// timer. The first attempt pays the caller's messaging overhead;
-// retransmissions are reinjected by the network interface at no CPU
-// cost (overhead 0). The retry timer arms in the send's deferred
-// context (where the scheduled delivery cycle is known) but targets the
-// source's view: the timer callback — and everything it touches on m —
-// stays on the shard that owns the sender.
+// timer from the copy's scheduled delivery cycle. The first attempt
+// pays the caller's messaging overhead; retransmissions are reinjected
+// by the network interface at no CPU cost (overhead 0).
 func (nw *Network) transmit(m *pendingMsg, overhead sim.Time) {
 	m.attempts++
 	if m.attempts > maxAttempts {
 		panic(fmt.Sprintf("network: message %d->%d seq %d abandoned after %d attempts (is a link configured with Drop: 1?)",
 			m.src, m.dst, m.seq, maxAttempts))
 	}
-	attempt := m.attempts
-	nw.send(m.src, m.dst, m.bytes, overhead, func() { nw.receiveReliable(m) }, func(delivery sim.Time) {
-		timeout := nw.retryTimeout(m, attempt, delivery)
-		nw.eng.View(m.src).At(nw.eng.Now()+timeout, func() {
-			if m.acked {
-				return
-			}
-			nw.rel[m.src].TimeoutsFired++
-			nw.rel[m.src].Retries++
-			nw.rel[m.src].RetryWaitCycles += uint64(timeout)
-			nw.transmit(m, 0)
-		})
+	delivery := nw.Send(m.src, m.dst, m.bytes, overhead, func() { nw.receiveReliable(m) })
+	timeout := nw.retryTimeout(m, m.attempts, delivery)
+	nw.eng.After(timeout, func() {
+		if m.acked {
+			return
+		}
+		nw.rel.TimeoutsFired++
+		nw.rel.Retries++
+		nw.rel.RetryWaitCycles += uint64(timeout)
+		nw.transmit(m, 0)
 	})
 }
 
@@ -139,19 +126,18 @@ func (nw *Network) retryTimeout(m *pendingMsg, attempt int, delivery sim.Time) s
 func (nw *Network) receiveReliable(m *pendingMsg) {
 	// Hardware ack, itself fault-prone: if it is lost the sender
 	// retransmits and this copy's twin is deduplicated below. The ack's
-	// delivery callback runs back at the source, the only place m.acked
-	// and the sender's unacked gauge are ever touched.
-	nw.rel[m.dst].AcksSent++
+	// delivery callback runs back at the source.
+	nw.rel.AcksSent++
 	nw.Send(m.dst, m.src, ackBytes, 0, func() {
 		if !m.acked {
 			m.acked = true
-			nw.unackedBy[m.src]--
+			nw.unacked--
 		}
 	})
 
 	ps := &nw.pairs[m.src*nw.n+m.dst]
 	if m.seq < ps.nextDeliver || ps.held[m.seq] != nil {
-		nw.rel[m.dst].DuplicatesDropped++
+		nw.rel.DuplicatesDropped++
 		return
 	}
 	if ps.held == nil {
@@ -159,7 +145,7 @@ func (nw *Network) receiveReliable(m *pendingMsg) {
 	}
 	ps.held[m.seq] = m.deliver
 	if m.seq > ps.nextDeliver {
-		nw.rel[m.dst].HeldForOrder++
+		nw.rel.HeldForOrder++
 	}
 	for {
 		d := ps.held[ps.nextDeliver]

@@ -158,8 +158,7 @@ func Default() Config {
 // Mesh returns the Table 1 machine scaled to an n-node mesh: n
 // processors laid out on the closest-to-square rectangle (network.New
 // derives the dimensions). Every other parameter keeps its default.
-// The parallel-engine scaling benchmarks run on Mesh(64), Mesh(128),
-// and Mesh(256).
+// The large-mesh tests build their machines with it.
 func Mesh(n int) Config {
 	c := Default()
 	c.Processors = n

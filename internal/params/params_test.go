@@ -94,8 +94,8 @@ func TestPageDecodeProperty(t *testing.T) {
 	}
 }
 
-// TestMeshScales checks the big-mesh configs the scaling benchmarks run
-// on: only the node count changes, and every size validates.
+// TestMeshScales checks the big-mesh configs: only the node count
+// changes, and every size validates.
 func TestMeshScales(t *testing.T) {
 	for _, n := range []int{64, 128, 256} {
 		c := Mesh(n)

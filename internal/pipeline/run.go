@@ -48,7 +48,7 @@ func CurrentHost() Host {
 
 // CellResult is one measured grid point. Cycles, Events, Fingerprint,
 // and MetricsKeys are deterministic contracts of the simulator —
-// identical on any host at any worker count. WallNS and EventsPerSec
+// identical on any host. WallNS and EventsPerSec
 // are wall-clock facts about the measuring host.
 type CellResult struct {
 	ID       string `json:"id"`
@@ -56,7 +56,6 @@ type CellResult struct {
 	Protocol string `json:"protocol"`
 	Profile  string `json:"profile"`
 	Procs    int    `json:"procs"`
-	Workers  int    `json:"workers"`
 	// Fault is the fault scenario's name; empty (and omitted) on
 	// fault-free cells, so pre-chaos manifests and trend records keep
 	// their byte-exact shape.
@@ -105,9 +104,7 @@ func (r *RunResult) Failed() []string {
 // executions per cell on the shared simulation pool, the fastest
 // measured repeat kept for throughput. Each cell's executions must
 // agree bit-for-bit on fingerprint, cycles, and events (a repeat
-// divergence is a determinism escape), and cells that differ only in
-// worker count must agree with each other — the parallel engine's
-// contract, enforced on every pipeline run. Per-cell failures are
+// divergence is a determinism escape). Per-cell failures are
 // recorded in the cell (and summarized by RunResult.Failed), not
 // returned: one broken cell must not hide the rest of the grid.
 func RunExperiment(e *Experiment) (*RunResult, error) {
@@ -120,31 +117,6 @@ func RunExperiment(e *Experiment) (*RunResult, error) {
 	for i := range cells {
 		out.Cells = append(out.Cells, runCell(&cells[i], e.Repeats, e.Warmup, timeout))
 	}
-	// The cross-worker determinism contract: within one (app, protocol,
-	// profile, procs, fault) group, every worker count must fire the
-	// same schedule — fault injections are keyed by message identity,
-	// not by shard, so a chaos cell shards as deterministically as a
-	// clean one.
-	type groupKey struct {
-		app, proto, prof, fault string
-		procs                   int
-	}
-	first := map[groupKey]*CellResult{}
-	for i := range out.Cells {
-		c := &out.Cells[i]
-		if c.Error != "" {
-			continue
-		}
-		k := groupKey{c.App, c.Protocol, c.Profile, c.Fault, c.Procs}
-		if prev, ok := first[k]; !ok {
-			first[k] = c
-		} else if c.Fingerprint != prev.Fingerprint || c.Events != prev.Events || c.Cycles != prev.Cycles {
-			c.Error = fmt.Sprintf(
-				"determinism violation: workers=%d fired (%s, %d events, %d cycles) but workers=%d fired (%s, %d events, %d cycles)",
-				c.Workers, c.Fingerprint, c.Events, c.Cycles,
-				prev.Workers, prev.Fingerprint, prev.Events, prev.Cycles)
-		}
-	}
 	return out, nil
 }
 
@@ -152,7 +124,7 @@ func RunExperiment(e *Experiment) (*RunResult, error) {
 func runCell(c *Cell, repeats, warmup int, timeout time.Duration) CellResult {
 	res := CellResult{
 		ID: c.ID(), App: c.App, Protocol: c.Protocol, Profile: c.Profile,
-		Procs: c.Procs, Workers: c.Workers, Fault: c.Fault, Scale: c.ScaleName,
+		Procs: c.Procs, Fault: c.Fault, Scale: c.ScaleName,
 		Repeats: repeats, Warmup: warmup,
 	}
 	total := warmup + repeats
@@ -342,7 +314,7 @@ func WriteRunFolder(dir, stamp string, r *RunResult) (string, error) {
 			// Re-derive the cell to name the artifact; c.ID is unique, the
 			// stem adds the sequence number for sortable listings.
 			stem := (&Cell{App: c.App, Protocol: c.Protocol, Profile: c.Profile,
-				Procs: c.Procs, Workers: c.Workers, Fault: c.Fault}).Stem(i)
+				Procs: c.Procs, Fault: c.Fault}).Stem(i)
 			rel := filepath.Join("metrics", stem+".json")
 			h := sha256.New()
 			err := writeArtifact(filepath.Join(folder, rel), func(w io.Writer) error {
@@ -373,7 +345,7 @@ func WriteRunFolder(dir, stamp string, r *RunResult) (string, error) {
 
 // csvHeader is the canonical cells.csv column set, in order.
 var csvHeader = []string{
-	"experiment", "app", "protocol", "profile", "procs", "workers", "fault", "scale",
+	"experiment", "app", "protocol", "profile", "procs", "fault", "scale",
 	"repeats", "warmup", "cycles", "events", "fingerprint", "metrics_keys",
 	"wall_ns", "events_per_sec", "error",
 }
@@ -387,7 +359,7 @@ func writeCSV(w io.Writer, r *RunResult) error {
 		c := &r.Cells[i]
 		row := []string{
 			r.Experiment.Name, c.App, c.Protocol, c.Profile,
-			strconv.Itoa(c.Procs), strconv.Itoa(c.Workers), c.Fault, c.Scale,
+			strconv.Itoa(c.Procs), c.Fault, c.Scale,
 			strconv.Itoa(c.Repeats), strconv.Itoa(c.Warmup),
 			strconv.FormatInt(c.Cycles, 10), strconv.FormatUint(c.Events, 10),
 			c.Fingerprint, c.MetricsKeys,

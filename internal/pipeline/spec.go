@@ -1,8 +1,8 @@
 // Package pipeline is the reproducible experiment harness: it reads a
 // committed experiments.json (schema dsm96/experiments/v1) describing
 // named experiments — each a grid of application x protocol x machine
-// profile x processor count x engine-worker count, with per-cell
-// repeats, warmup discard, and a timeout — runs every cell on the
+// profile x processor count x fault scenario, with per-cell repeats,
+// warmup discard, and a timeout — runs every cell on the
 // bounded simulation pool, and writes one run folder per invocation:
 // a manifest with host metadata and per-cell fingerprints, a canonical
 // CSV, and run-metrics JSON per cell, all written atomically.
@@ -63,7 +63,7 @@ type Experiment struct {
 
 // Grid is the cartesian product the experiment measures. Expansion
 // order is fixed — apps outermost, then protocols, profiles, procs,
-// workers, faults — so cell numbering is stable across runs and hosts.
+// faults — so cell numbering is stable across runs and hosts.
 type Grid struct {
 	Apps      []string `json:"apps"`
 	Protocols []string `json:"protocols"`
@@ -71,7 +71,6 @@ type Grid struct {
 	// rdma, cxl) or paths to dsm96/params-profile/v1 files.
 	Profiles []string `json:"profiles"`
 	Procs    []int    `json:"procs"`
-	Workers  []int    `json:"workers,omitempty"`
 	// Faults, when present, crosses the grid with named fault-injection
 	// scenarios (a chaos grid). Absent means one fault-free pass; the
 	// scenario named "" is not allowed — fault cells are always
@@ -126,7 +125,6 @@ type Cell struct {
 	Protocol   string
 	Profile    string
 	Procs      int
-	Workers    int
 	// Fault is the fault scenario's name ("" = fault-free).
 	Fault     string
 	Scale     experiments.Scale
@@ -136,12 +134,13 @@ type Cell struct {
 	cfg  params.Config
 }
 
-// ID names the cell: profile/app/protocol/pN/wM, with a trailing
+// ID names the cell: profile/app/protocol/pN/w1, with a trailing
 // /SCENARIO segment on fault cells — the key the CSV, manifest, and
-// trend records agree on. Fault-free cells keep the historical
-// five-segment form, so existing trend records stay comparable.
+// trend records agree on. The literal w1 segment is the engine worker
+// count every cell ran at when the trend database began; keeping it
+// keeps existing trend records comparable.
 func (c *Cell) ID() string {
-	id := fmt.Sprintf("%s/%s/%s/p%d/w%d", c.Profile, c.App, c.Protocol, c.Procs, c.Workers)
+	id := fmt.Sprintf("%s/%s/%s/p%d/w1", c.Profile, c.App, c.Protocol, c.Procs)
 	if c.Fault != "" {
 		id += "/" + c.Fault
 	}
@@ -150,8 +149,8 @@ func (c *Cell) ID() string {
 
 // Stem is the cell's artifact file stem (no slashes, '+' stripped).
 func (c *Cell) Stem(seq int) string {
-	stem := fmt.Sprintf("cell-%04d-%s-%s-%s-p%d-w%d", seq, c.App,
-		strings.ReplaceAll(c.Protocol, "+", ""), c.Profile, c.Procs, c.Workers)
+	stem := fmt.Sprintf("cell-%04d-%s-%s-%s-p%d", seq, c.App,
+		strings.ReplaceAll(c.Protocol, "+", ""), c.Profile, c.Procs)
 	if c.Fault != "" {
 		stem += "-" + c.Fault
 	}
@@ -177,7 +176,7 @@ func ParseProtocol(label string) (core.Spec, bool) {
 
 // Load strictly decodes a spec: unknown fields anywhere in the
 // document are errors, and every grid reference is resolved (apps,
-// protocols, profiles, processor and worker counts) so a broken
+// protocols, profiles, processor counts, fault scenarios) so a broken
 // experiments.json fails at load time naming the offending field, not
 // mid-run.
 func Load(r io.Reader) (*Spec, error) {
@@ -274,11 +273,6 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("%s: grid.procs[%d]: %d, need >= 1", where, j, p)
 			}
 		}
-		for j, w := range e.Grid.Workers {
-			if w < 1 {
-				return fmt.Errorf("%s: grid.workers[%d]: %d, need >= 1", where, j, w)
-			}
-		}
 		seenFault := map[string]bool{}
 		for j := range e.Grid.Faults {
 			f := &e.Grid.Faults[j]
@@ -328,10 +322,6 @@ func (e *Experiment) Expand() ([]Cell, error) {
 	if !ok {
 		return nil, fmt.Errorf("pipeline: experiment %q: scale: unknown %q", e.Name, e.Scale)
 	}
-	workers := e.Grid.Workers
-	if len(workers) == 0 {
-		workers = []int{1}
-	}
 	scenarios := e.Grid.Faults
 	if len(scenarios) == 0 {
 		scenarios = []FaultScenario{{}} // one fault-free pass
@@ -351,33 +341,29 @@ func (e *Experiment) Expand() ([]Cell, error) {
 				for _, procs := range e.Grid.Procs {
 					cfg := prof.Config()
 					cfg.Processors = procs
-					for _, w := range workers {
-						for fi := range scenarios {
-							f := &scenarios[fi]
-							sp := spec
-							sp.Workers = w
-							if f.Name != "" {
-								plan, err := f.plan(procs)
-								if err != nil {
-									return nil, fmt.Errorf("pipeline: experiment %q: grid.faults (%q) at p%d: %w",
-										e.Name, f.Name, procs, err)
-								}
-								sp.Faults = plan
+					for fi := range scenarios {
+						f := &scenarios[fi]
+						sp := spec
+						if f.Name != "" {
+							plan, err := f.plan(procs)
+							if err != nil {
+								return nil, fmt.Errorf("pipeline: experiment %q: grid.faults (%q) at p%d: %w",
+									e.Name, f.Name, procs, err)
 							}
-							cells = append(cells, Cell{
-								Experiment: e.Name,
-								App:        app,
-								Protocol:   sp.String(),
-								Profile:    prof.Name,
-								Procs:      procs,
-								Workers:    w,
-								Fault:      f.Name,
-								Scale:      sc,
-								ScaleName:  e.Scale,
-								spec:       sp,
-								cfg:        cfg,
-							})
+							sp.Faults = plan
 						}
+						cells = append(cells, Cell{
+							Experiment: e.Name,
+							App:        app,
+							Protocol:   sp.String(),
+							Profile:    prof.Name,
+							Procs:      procs,
+							Fault:      f.Name,
+							Scale:      sc,
+							ScaleName:  e.Scale,
+							spec:       sp,
+							cfg:        cfg,
+						})
 					}
 				}
 			}

@@ -107,11 +107,11 @@ func TestLoadRejections(t *testing.T) {
 		{"zero procs",
 			func(s string) string { return strings.Replace(s, `[4]`, `[0]`, 1) },
 			"grid.procs[0]: 0, need >= 1"},
-		{"zero workers",
+		{"workers axis",
 			func(s string) string {
-				return strings.Replace(s, `"procs": [4]`, `"procs": [4], "workers": [0]`, 1)
+				return strings.Replace(s, `"procs": [4]`, `"procs": [4], "workers": [1]`, 1)
 			},
-			"grid.workers[0]: 0, need >= 1"},
+			`unknown field "workers"`},
 		{"duplicate name",
 			func(string) string {
 				one := `{"name": "ok", "scale": "tiny", "repeats": 1, "grid": {"apps": ["water"], "protocols": ["Base"], "profiles": ["pci1996"], "procs": [4]}}`
@@ -140,7 +140,7 @@ func TestCommittedSpecLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed experiments.json: %v", err)
 	}
-	for _, name := range []string{"smoke", "ladder", "parallel-engine"} {
+	for _, name := range []string{"smoke", "ladder", "chaos"} {
 		e, err := s.Find(name)
 		if err != nil {
 			t.Errorf("committed spec: %v", err)
@@ -172,14 +172,14 @@ func TestParseProtocol(t *testing.T) {
 }
 
 // TestExpandOrder pins the fixed expansion order (apps outermost, then
-// protocols, profiles, procs, workers) that cell numbering and artifact
-// names depend on.
+// protocols, profiles, procs) that cell numbering and artifact names
+// depend on.
 func TestExpandOrder(t *testing.T) {
 	e := &Experiment{
 		Name: "order", Scale: "tiny", Repeats: 1,
 		Grid: Grid{
 			Apps: []string{"water", "tsp"}, Protocols: []string{"Base", "I"},
-			Profiles: []string{"pci1996"}, Procs: []int{4}, Workers: []int{1, 2},
+			Profiles: []string{"pci1996"}, Procs: []int{4, 8},
 		},
 	}
 	cells, err := e.Expand()
@@ -187,10 +187,10 @@ func TestExpandOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"pci1996/water/Base/p4/w1", "pci1996/water/Base/p4/w2",
-		"pci1996/water/I/p4/w1", "pci1996/water/I/p4/w2",
-		"pci1996/tsp/Base/p4/w1", "pci1996/tsp/Base/p4/w2",
-		"pci1996/tsp/I/p4/w1", "pci1996/tsp/I/p4/w2",
+		"pci1996/water/Base/p4/w1", "pci1996/water/Base/p8/w1",
+		"pci1996/water/I/p4/w1", "pci1996/water/I/p8/w1",
+		"pci1996/tsp/Base/p4/w1", "pci1996/tsp/Base/p8/w1",
+		"pci1996/tsp/I/p4/w1", "pci1996/tsp/I/p8/w1",
 	}
 	if len(cells) != len(want) {
 		t.Fatalf("%d cells, want %d", len(cells), len(want))

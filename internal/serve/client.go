@@ -185,7 +185,6 @@ func (c *Client) RunRemote(app string, spec core.Spec, cfg params.Config, sc exp
 		Protocol: label,
 		Scale:    sc.Name(),
 		Config:   &cfg,
-		Workers:  spec.Workers,
 		Watchdog: int64(spec.Watchdog),
 		Faults:   jf,
 	}

@@ -7,7 +7,7 @@
 //
 // The design leans on one property the rest of the repository already
 // proves: runs are bit-identical given their spec (fingerprint gates,
-// golden cycles, worker-count parity). That makes every result
+// golden cycles, trend determinism fields). That makes every result
 // perfectly cacheable — SHA-256(canonical spec) is a complete identity
 // for the artifact a run produces — and makes crash recovery trivial
 // to argue: re-running an interrupted job reproduces byte-identical
@@ -43,10 +43,9 @@ const JobSchema = "dsm96/job/v1"
 
 // JobSpec is one submitted simulation. The result-determining fields —
 // app, protocol, scale, machine configuration, fault scenario — form
-// the canonical identity the server hashes into the job key; workers
-// and watchdog are execution policy (the schedule is bit-identical at
-// any worker count, and the watchdog is pure observation), so two
-// submissions differing only there are the same job.
+// the canonical identity the server hashes into the job key; the
+// watchdog is execution policy (pure observation), so two submissions
+// differing only there are the same job.
 type JobSpec struct {
 	Schema   string `json:"schema"`
 	App      string `json:"app"`
@@ -64,8 +63,6 @@ type JobSpec struct {
 	Config *params.Config `json:"config,omitempty"`
 	// Procs overrides the config/profile processor count when > 0.
 	Procs int `json:"procs,omitempty"`
-	// Workers shards the event engine (execution hint, not identity).
-	Workers int `json:"workers,omitempty"`
 	// Watchdog is the liveness window in cycles; 0 arms the default. A
 	// stalled run fails with a structured stall report instead of
 	// wedging a worker. Negative (watchdog off) is not accepted: an
@@ -217,9 +214,6 @@ func (j *JobSpec) Resolve() (*ResolvedJob, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: config: %w", err)
 	}
-	if j.Workers < 0 {
-		return nil, fmt.Errorf("serve: workers: %d, need >= 0", j.Workers)
-	}
 	if j.Watchdog < 0 {
 		return nil, fmt.Errorf("serve: watchdog: %d, need >= 0 (an unwatched job could wedge a worker forever)", j.Watchdog)
 	}
@@ -234,7 +228,6 @@ func (j *JobSpec) Resolve() (*ResolvedJob, error) {
 			}
 		}
 	}
-	spec.Workers = j.Workers
 	spec.Watchdog = sim.Time(j.Watchdog)
 	spec.Faults = plan
 

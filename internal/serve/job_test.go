@@ -18,7 +18,7 @@ func resolve(t *testing.T, spec *JobSpec) *ResolvedJob {
 }
 
 // TestJobKeyCanonical pins the memoization contract: execution policy
-// (workers, watchdog) and spelling (defaults made explicit, profile vs
+// (the watchdog) and spelling (defaults made explicit, profile vs
 // inline config) never change a job's identity; anything
 // result-determining does.
 func TestJobKeyCanonical(t *testing.T) {
@@ -26,7 +26,6 @@ func TestJobKeyCanonical(t *testing.T) {
 	key := resolve(t, base).Key
 
 	same := []*JobSpec{
-		{Schema: JobSchema, App: "radix", Protocol: "I+P+D", Scale: "tiny", Procs: 4, Workers: 4},
 		{Schema: JobSchema, App: "radix", Protocol: "I+P+D", Scale: "tiny", Procs: 4, Watchdog: 5_000_000},
 		{Schema: JobSchema, App: "radix", Protocol: "I+P+D", Scale: "tiny", Procs: 4, Faults: &JobFaults{}},
 	}
@@ -60,6 +59,16 @@ func TestJobKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestJobKeyStable pins one job key as computed before the engine
+// worker count left the job spec: keys index the persistent store, so
+// a change here would orphan every memoized result.
+func TestJobKeyStable(t *testing.T) {
+	const want = "359f426732ba4cb4c5df529db8f14f9343d07ff543a5d7f497eba45ca455cf1a"
+	if got := resolve(t, &JobSpec{Schema: JobSchema, App: "radix", Protocol: "I+P+D", Scale: "tiny", Procs: 4}).Key; got != want {
+		t.Errorf("job key %s, want %s", got, want)
+	}
+}
+
 // TestJobKeySeedMatters pins fault scenarios into the identity: a
 // different seed is a different deterministic universe.
 func TestJobKeySeedMatters(t *testing.T) {
@@ -85,7 +94,6 @@ func TestJobResolveRejects(t *testing.T) {
 		{"protocol", JobSpec{Schema: JobSchema, App: "tsp", Protocol: "XYZ"}, "protocol"},
 		{"scale", JobSpec{Schema: JobSchema, App: "tsp", Protocol: "Base", Scale: "huge"}, "scale"},
 		{"profile", JobSpec{Schema: JobSchema, App: "tsp", Protocol: "Base", Profile: "../../etc/passwd"}, "profile"},
-		{"workers", JobSpec{Schema: JobSchema, App: "tsp", Protocol: "Base", Workers: -1}, "workers"},
 		{"watchdog off", JobSpec{Schema: JobSchema, App: "tsp", Protocol: "Base", Watchdog: -1}, "watchdog"},
 		{"fault rate", JobSpec{Schema: JobSchema, App: "tsp", Protocol: "Base", Faults: &JobFaults{Drop: 1.5}}, "faults"},
 		{"ctrl node range", JobSpec{Schema: JobSchema, App: "tsp", Protocol: "Base", Procs: 4,

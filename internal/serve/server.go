@@ -163,6 +163,10 @@ func NewServer(root string, opts Options) (*Server, error) {
 		if err != nil || job.Key != rec.Key {
 			continue
 		}
+		// The lenient decode above skips fields older specs carried;
+		// journal the canonical form from here on, so the finished
+		// record matches later submissions of the same job.
+		rec.Spec = job.Canonical
 		e := &jobEntry{job: job, rec: rec, done: make(chan struct{})}
 		s.inflight[rec.Key] = e
 		s.queue <- e

@@ -483,3 +483,76 @@ func TestArtifactNotFound(t *testing.T) {
 		t.Fatalf("missing artifact answered %d", resp.StatusCode)
 	}
 }
+
+// legacyWorkersSpec is a job spec as submitted while the spec still
+// carried an engine worker count.
+const legacyWorkersSpec = `{"schema": "dsm96/job/v1", "app": "radix", "protocol": "I+P+D", "scale": "tiny", "procs": 4, "workers": 4}`
+
+// TestSubmitRejectsWorkers: the submit decoder is strict, so a spec
+// still carrying the retired workers field is refused with a 400 that
+// names it rather than silently accepted.
+func TestSubmitRejectsWorkers(t *testing.T) {
+	_, hs, _ := newTestServer(t, Options{Workers: 1,
+		Run: func(job *ResolvedJob) (*core.Result, error) { return fakeResult(job), nil }})
+	resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(legacyWorkersSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (error %q)", resp.StatusCode, body.Error)
+	}
+	if !strings.Contains(body.Error, `unknown field "workers"`) {
+		t.Errorf("400 error does not name the workers field: %q", body.Error)
+	}
+}
+
+// TestRecoverLegacyWorkersRecord: a journaled job whose spec still
+// carries the workers field recovers (the recovery decoder is lenient),
+// runs, and is then served from cache to a submission without it.
+func TestRecoverLegacyWorkersRecord(t *testing.T) {
+	root := t.TempDir()
+	st, err := OpenStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy JobSpec
+	if err := json.Unmarshal([]byte(legacyWorkersSpec), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	key := resolve(t, &legacy).Key
+	if err := st.PutRecord(&JobRecord{Schema: RecordSchema, Key: key,
+		Spec: json.RawMessage(legacyWorkersSpec), State: StatePending}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(root, Options{Workers: 1,
+		Run: func(job *ResolvedJob) (*core.Result, error) { return fakeResult(job), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Drain()
+		hs.Close()
+	})
+	c := &Client{Base: hs.URL, sleep: func(time.Duration) {}}
+	spec := &JobSpec{Schema: JobSchema, App: "radix", Protocol: "I+P+D", Scale: "tiny", Procs: 4}
+	first, err := c.Submit(spec, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Key != key || first.State != StateDone {
+		t.Fatalf("recovered job: %+v, want key %s done", first, key)
+	}
+	again, err := c.Submit(spec, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != StateDone || !again.Cached {
+		t.Fatalf("resubmission not served from cache: %+v", again)
+	}
+}

@@ -59,11 +59,6 @@ type Engine struct {
 	watchdog       Time
 	lastProgressAt Time
 
-	// par is set on every engine participating in a parallel run (the
-	// root and each shard); sh only on shards. See parallel.go.
-	par *parRuntime
-	sh  *shardState
-
 	// runWallNS accumulates Run's wall-clock time for the self-profile
 	// (profile.go). Host-dependent; never feeds the simulation.
 	runWallNS int64
@@ -112,26 +107,14 @@ func (e *Engine) Now() Time { return e.now }
 // EventsRun reports how many events have executed, for diagnostics.
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
 
-// Stats returns the engine's counter block. On a parallelized engine
-// the execution counters live on the shards: handoffs and elided parks
-// are summed, the heap high-water mark is the max across shards.
+// Stats returns the engine's counter block.
 func (e *Engine) Stats() Stats {
-	s := Stats{
+	return Stats{
 		EventsRun:    e.eventsRun,
 		Handoffs:     e.handoffs,
 		ElidedParks:  e.elidedParks,
 		MaxHeapDepth: e.maxHeapDepth,
 	}
-	if e.par != nil && e.sh == nil {
-		for _, se := range e.par.shards {
-			s.Handoffs += se.handoffs
-			s.ElidedParks += se.elidedParks
-			if se.maxHeapDepth > s.MaxHeapDepth {
-				s.MaxHeapDepth = se.maxHeapDepth
-			}
-		}
-	}
-	return s
 }
 
 // Fingerprint returns an FNV-1a hash of the fired (time, seq) event
@@ -190,8 +173,7 @@ func (e *Engine) pop() event {
 }
 
 // siftDown restores the heap invariant below index i, moving the
-// smallest child up until h[i] fits. Shared by pop and the parallel
-// engine's post-replay heapify.
+// smallest child up until h[i] fits.
 func siftDown(h []event, i int) {
 	n := len(h)
 	cur := h[i]
@@ -225,10 +207,6 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	if e.par != nil {
-		e.par.at(e, t, fn)
-		return
-	}
 	e.seq++
 	e.push(t, e.seq, fn)
 }
@@ -250,13 +228,10 @@ func (e *Engine) After(d Time, fn func()) {
 //
 // Any queued event at the same time has a smaller sequence number and
 // would fire first, so equality disqualifies. Elision is also off while
-// stopped (the park must survive Stop/Run cycles), past the RunUntil
-// limit (the process must stay parked at the boundary), and on the
-// shards of a parallel run (a shard cannot see the global queue, so
-// "provably next" is undecidable locally; see parallel.go for why
-// firing every wake as a real event keeps the schedule identical).
+// stopped (the park must survive Stop/Run cycles) and past the RunUntil
+// limit (the process must stay parked at the boundary).
 func (e *Engine) canElide(wake Time) bool {
-	return e.par == nil && !e.stopped && wake <= e.limit &&
+	return !e.stopped && wake <= e.limit &&
 		(len(e.events) == 0 || e.events[0].at > wake)
 }
 
@@ -283,9 +258,6 @@ func (e *Engine) Stop() { e.stopped = true }
 // stalled engine cannot be run again. A panic in a process body
 // propagates out of Run.
 func (e *Engine) Run() (err error) {
-	if e.sh != nil {
-		panic("sim: Run called on a shard engine")
-	}
 	e.stopped = false
 	e.limit = math.MaxInt64
 	runStart := time.Now()
@@ -297,9 +269,6 @@ func (e *Engine) Run() (err error) {
 			}
 		}
 	}()
-	if e.par != nil {
-		return e.par.run()
-	}
 	watched := e.watchdog > 0
 	for len(e.events) > 0 && !e.stopped {
 		ev := e.pop()
@@ -319,11 +288,8 @@ func (e *Engine) Run() (err error) {
 }
 
 // RunUntil executes events with time <= t, then returns. Processes blocked
-// past t remain blocked. Not supported on a parallelized engine.
+// past t remain blocked.
 func (e *Engine) RunUntil(t Time) {
-	if e.par != nil {
-		panic("sim: RunUntil is not supported on a parallel engine")
-	}
 	e.limit = t
 	for len(e.events) > 0 && e.events[0].at <= t {
 		ev := e.pop()

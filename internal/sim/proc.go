@@ -46,17 +46,11 @@ type Proc struct {
 
 // NewProc registers a process whose body will start executing at time
 // `start`. The body runs to completion; the process is then done.
-//
-// On a parallelized engine the process is bound to the view owning node
-// `id` — its wake events, parks, and resumes all go through that shard —
-// while remaining registered with the root for deadlock and stall
-// reports. On a sequential engine the view is the engine itself.
 func (e *Engine) NewProc(id int, name string, start Time, body func(*Proc)) *Proc {
-	ve := e.View(id)
-	p := &Proc{ID: id, Name: name, eng: ve}
+	p := &Proc{ID: id, Name: name, eng: e}
 	p.resumeFn = p.resume
 	e.procs = append(e.procs, p)
-	ve.At(start, func() {
+	e.At(start, func() {
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
 			body(p)

@@ -1,139 +1,30 @@
 package sim
 
-// Engine self-profiling: always-on, cheap accounting of where the
-// parallel engine spends its effort — window/barrier round counts,
-// per-window event and deferred-action histograms, per-shard busy and
-// barrier-wait wall time, and the coordinator's merge wall time. The
-// profile answers the scaling questions ARCHITECTURE.md raises about
-// the merge barrier (is replay the ceiling at 256 nodes?) without a Go
-// profiler run: the merge-wait fraction is MergeWallNS / RunWallNS, and
-// the window histograms show how much concurrency each lookahead
-// horizon actually exposed.
+// Engine self-profiling: the fired event count plus the wall time Run
+// spent and the host it ran on.
 //
 // The profile separates two kinds of fields. Everything under
 // "deterministic" is a pure function of the simulated schedule —
-// identical across repeat runs on any host (given the same worker
-// count) — so metricsdiff can gate it exactly. Everything under "host"
-// is wall-clock measurement of the machine the run happened on and is
-// never comparable across hosts.
+// identical across repeat runs on any host — so metricsdiff can gate it
+// exactly. Everything under "host" is wall-clock measurement of the
+// machine the run happened on and is never comparable across hosts.
 
 import (
 	"encoding/json"
 	"io"
-	"math/bits"
 	"runtime"
 )
 
 // EngineProfileSchema tags the engine self-profile JSON format
-// (dsmsim -engine-profile, cmd/bench -engine-profile, and
-// metricsdiff -engine-profile all speak it).
+// (dsmsim -engine-profile and metricsdiff -engine-profile speak it).
 const EngineProfileSchema = "dsm96/engine-profile/v1"
 
-// histBuckets bounds the power-of-two histogram: bucket i counts values
-// whose bit length is i, so bucket 0 is exactly zero and bucket 64
-// covers the top half of the uint64 range.
-const histBuckets = 65
-
-// hist is the internal power-of-two histogram accumulator.
-type hist struct {
-	count, min, max uint64
-	buckets         [histBuckets]uint64
-}
-
-func (h *hist) add(v uint64) {
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.buckets[bits.Len64(v)]++
-}
-
-// HistBucket is one non-empty power-of-two bucket: Count values were
-// <= Le (and greater than the previous bucket's Le).
-type HistBucket struct {
-	Le    uint64 `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// Hist is the exported histogram: count/min/max plus the non-empty
-// power-of-two buckets in ascending order. Fully determined by the
-// added values, so its JSON form is byte-stable.
-type Hist struct {
-	Count   uint64       `json:"count"`
-	Min     uint64       `json:"min"`
-	Max     uint64       `json:"max"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
-func (h *hist) export() Hist {
-	out := Hist{Count: h.count, Min: h.min, Max: h.max}
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		le := uint64(0)
-		if i > 0 {
-			le = 1<<uint(i) - 1
-		}
-		out.Buckets = append(out.Buckets, HistBucket{Le: le, Count: c})
-	}
-	return out
-}
-
-// EngineProfileShard is one shard's deterministic accounting.
-type EngineProfileShard struct {
-	Shard int `json:"shard"`
-	// Nodes is how many simulated nodes the shard owns.
-	Nodes int `json:"nodes"`
-	// Events is how many events the shard fired across all windows.
-	Events uint64 `json:"events"`
-	// Handoffs and MaxHeapDepth mirror Stats for this shard.
-	Handoffs     uint64 `json:"handoffs"`
-	MaxHeapDepth int    `json:"max_heap_depth"`
-}
-
 // EngineProfileDeterministic is the schedule-determined block: byte
-// identical across repeat runs of the same configuration at the same
-// worker count, on any host. metricsdiff -engine-profile compares it
-// exactly.
+// identical across repeat runs of the same configuration, on any host.
+// metricsdiff -engine-profile compares it exactly.
 type EngineProfileDeterministic struct {
 	// EventsRun is the total fired event count (equals Stats.EventsRun).
 	EventsRun uint64 `json:"events_run"`
-	// Windows counts merge rounds (0 on a sequential engine).
-	Windows uint64 `json:"windows"`
-	// LookaheadCycles is the conservative horizon margin (0 sequential).
-	LookaheadCycles int64 `json:"lookahead_cycles"`
-	// ReplayedActions is the total number of logged scheduling side
-	// effects the coordinator re-executed at merge barriers; of those,
-	// DeferredCalls were Engine.Deferred closures (cross-shard network
-	// walks, globally-ordered instrumentation).
-	ReplayedActions uint64 `json:"replayed_actions"`
-	DeferredCalls   uint64 `json:"deferred_calls"`
-	// WindowEvents is the per-window fired-event distribution — how
-	// much work each lookahead horizon exposed.
-	WindowEvents Hist `json:"window_events"`
-	// WindowAdvanceCycles is the distribution of simulated-clock
-	// advance between consecutive windows (always >= the lookahead).
-	WindowAdvanceCycles Hist `json:"window_advance_cycles"`
-	// WindowActions is the per-window deferred-replay queue depth: how
-	// many logged actions each merge barrier had to re-execute.
-	WindowActions Hist `json:"window_actions"`
-	// Shards is the per-shard deterministic accounting (empty when
-	// sequential).
-	Shards []EngineProfileShard `json:"shards,omitempty"`
-}
-
-// EngineProfileShardWall is one shard's wall-clock split.
-type EngineProfileShardWall struct {
-	Shard int `json:"shard"`
-	// BusyNS is wall time spent executing window events; BarrierWaitNS
-	// is wall time between finishing a window and being handed the
-	// next one (waiting on slower shards plus the coordinator's merge).
-	BusyNS        int64 `json:"busy_ns"`
-	BarrierWaitNS int64 `json:"barrier_wait_ns"`
 }
 
 // EngineProfileHost is the host-dependent block: wall-clock timings of
@@ -143,38 +34,22 @@ type EngineProfileShardWall struct {
 type EngineProfileHost struct {
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// RunWallNS is the wall time of Engine.Run; MergeWallNS is the part
-	// the coordinator spent inside merge barriers (replay + rekey), the
-	// serial section Amdahl charges against scaling.
-	RunWallNS   int64 `json:"run_wall_ns"`
-	MergeWallNS int64 `json:"merge_barrier_wall_ns"`
-	// Shards is the per-shard busy/wait wall split (empty sequential).
-	Shards []EngineProfileShardWall `json:"shards,omitempty"`
+	// RunWallNS is the wall time of Engine.Run.
+	RunWallNS int64 `json:"run_wall_ns"`
 }
 
 // EngineProfile is the engine's self-profile, exported as
 // dsm96/engine-profile/v1 JSON.
 type EngineProfile struct {
-	Schema  string `json:"schema"`
-	Workers int    `json:"workers"`
+	Schema string `json:"schema"`
 
 	Deterministic EngineProfileDeterministic `json:"deterministic"`
 	Host          EngineProfileHost          `json:"host"`
 }
 
-// MergeWaitFraction is the coordinator's merge-barrier share of the
-// run's wall time — the serial fraction that bounds further worker
-// scaling. Zero on a sequential engine (there is no merge).
-func (p *EngineProfile) MergeWaitFraction() float64 {
-	if p == nil || p.Host.RunWallNS <= 0 {
-		return 0
-	}
-	return float64(p.Host.MergeWallNS) / float64(p.Host.RunWallNS)
-}
-
 // WriteJSON serializes the profile as indented JSON with a trailing
-// newline. Structs and slices only, so the byte stream is deterministic
-// for fixed contents.
+// newline. Structs only, so the byte stream is deterministic for fixed
+// contents.
 func (p *EngineProfile) WriteJSON(w io.Writer) error {
 	buf, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
@@ -185,13 +60,11 @@ func (p *EngineProfile) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// Profile snapshots the engine's self-profile. Call it on the root
-// engine after Run returns; the counters accumulate across Stop/Run
-// cycles.
+// Profile snapshots the engine's self-profile. Call it after Run
+// returns; the counters accumulate across Stop/Run cycles.
 func (e *Engine) Profile() *EngineProfile {
-	p := &EngineProfile{
-		Schema:  EngineProfileSchema,
-		Workers: e.Workers(),
+	return &EngineProfile{
+		Schema: EngineProfileSchema,
 		Deterministic: EngineProfileDeterministic{
 			EventsRun: e.eventsRun,
 		},
@@ -201,36 +74,4 @@ func (e *Engine) Profile() *EngineProfile {
 			RunWallNS:  e.runWallNS,
 		},
 	}
-	par := e.par
-	if par == nil || e.sh != nil {
-		return p
-	}
-	d := &p.Deterministic
-	d.Windows = par.windows
-	d.LookaheadCycles = par.lookahead
-	d.ReplayedActions = par.replayedActions
-	d.DeferredCalls = par.deferredCalls
-	d.WindowEvents = par.winEvents.export()
-	d.WindowAdvanceCycles = par.winAdvance.export()
-	d.WindowActions = par.winActions.export()
-	nodesOf := make([]int, len(par.shards))
-	for _, s := range par.shardOf {
-		nodesOf[s]++
-	}
-	p.Host.MergeWallNS = par.mergeWallNS
-	for w, se := range par.shards {
-		d.Shards = append(d.Shards, EngineProfileShard{
-			Shard:        w,
-			Nodes:        nodesOf[w],
-			Events:       se.sh.eventsFired,
-			Handoffs:     se.handoffs,
-			MaxHeapDepth: se.maxHeapDepth,
-		})
-		p.Host.Shards = append(p.Host.Shards, EngineProfileShardWall{
-			Shard:         w,
-			BusyNS:        se.sh.busyNS,
-			BarrierWaitNS: se.sh.waitNS,
-		})
-	}
-	return p
 }

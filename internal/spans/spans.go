@@ -15,33 +15,13 @@
 // bit-identical with spans on or off.
 //
 // Stage attribution works by milestones, not bracketed regions: the
-// protocol calls Op.Mark(eng, stage, t) at the instant a stage *ends*,
+// protocol calls Op.Mark(stage, t) at the instant a stage *ends*,
 // and End partitions the operation's [Start, End) window by assigning
 // the gap since the previous milestone to the marked stage. Milestones
 // may be recorded eagerly with future timestamps (resource reservations
 // return their service window up front); End sorts them stably by time
 // before partitioning, so attribution is deterministic and the stage
 // cycles always sum exactly to End-Start.
-//
-// Parallel safety. On a sharded engine (sim.Engine.Parallelize) an op
-// is touched from more than one shard: the requester begins it, remote
-// nodes mark it while serving the request, and a single fetch can have
-// several concurrent remote servers. The tracker therefore splits every
-// operation into shard-local and globally-ordered halves. Shard-local
-// state — the per-node cur pointer, Charged accounting, and the
-// ctrl/net/blocked interval feeds — is only ever touched from the
-// owning node's shard (net from the coordinator's serialized walk), so
-// it needs no coordination. Everything whose *order* is global — ID
-// assignment, milestone appends, stage computation, and the completion
-// log — goes through sim.Engine.Deferred on the calling shard's view:
-// during a window the closure is logged into the shard's fired record,
-// and the coordinator's merge barrier replays it in global (time, seq)
-// order — exactly the order a sequential run would have executed the
-// same call inline. On a sequential engine Deferred is a plain call, so
-// the sequential path is unchanged. The result is that IDs, mark
-// insertion order (which breaks stable-sort ties between equal-time
-// milestones), completion order, the JSONL artifact, and the report
-// digest are byte-identical at any worker count.
 package spans
 
 import (
@@ -173,21 +153,12 @@ type Op struct {
 // Mark records that stage s ended at time t. Safe on a nil receiver and
 // callable from any context (proc or engine); milestones with future
 // timestamps (reservation end times) are fine — End sorts before
-// partitioning. eng is the calling context's engine view (the view of
-// the node whose code is executing, not necessarily o.Node): on a
-// sharded run the append is deferred through it to the merge barrier,
-// which both serializes concurrent remote markers and preserves the
-// sequential insertion order that breaks equal-time sort ties. A nil
-// eng (unit tests) appends inline.
-func (o *Op) Mark(eng *sim.Engine, s Stage, t sim.Time) {
+// partitioning, and insertion order breaks equal-time ties.
+func (o *Op) Mark(s Stage, t sim.Time) {
 	if o == nil {
 		return
 	}
-	if eng == nil {
-		o.marks = append(o.marks, mark{t: t, stage: s})
-		return
-	}
-	eng.Deferred(func() { o.marks = append(o.marks, mark{t: t, stage: s}) })
+	o.marks = append(o.marks, mark{t: t, stage: s})
 }
 
 // interval is a half-open [start, end) window of simulated time.
@@ -218,24 +189,16 @@ type Tracker struct {
 	nodes  int
 	nextID uint64
 	// cur is each node's current operation: the target Charge attributes
-	// stall cycles to. Begin sets it, End and Detach clear it. Strictly
-	// shard-local: entry n is only touched from node n's shard.
+	// stall cycles to. Begin sets it, End and Detach clear it.
 	cur []*Op
-	// ops holds completed spans in completion order. Globally ordered:
-	// appended only in deferred (merge-barrier or sequential) context.
+	// ops holds completed spans in completion order.
 	ops []*Op
 	// ctrl and net are protocol activity windows (controller occupancy,
 	// outbound wire occupancy) per node; blocked is the union of the
 	// node's non-Busy stall windows. Overlap accounting intersects them.
-	// ctrl and blocked are per-node shard-local; net is fed only from
-	// the network's serialized walk.
 	ctrl    [][]interval
 	net     [][]interval
 	blocked [][]interval
-	// views, when bound, maps each node to its engine view so Begin and
-	// End can defer their globally-ordered half through the owning
-	// shard. Nil (unit tests, unbound trackers) runs everything inline.
-	views []*sim.Engine
 }
 
 // NewTracker returns a tracker for a machine with the given number of
@@ -250,49 +213,17 @@ func NewTracker(nodes int) *Tracker {
 	}
 }
 
-// Bind attaches the engine the instrumented run executes on, resolving
-// each node's shard view once. Must be called after the engine is
-// parallelized (core.Run's wiring order) and before the run starts;
-// safe on a nil tracker or nil engine. An unbound tracker runs its
-// globally-ordered work inline, which is only correct sequentially.
-func (t *Tracker) Bind(eng *sim.Engine) {
-	if t == nil || eng == nil {
-		return
-	}
-	t.views = make([]*sim.Engine, t.nodes)
-	for n := 0; n < t.nodes; n++ {
-		t.views[n] = eng.View(n)
-	}
-}
-
-// deferOn runs fn in globally-ordered context via node's shard view:
-// inline when unbound or sequential, logged for merge-barrier replay
-// when node's shard is executing a window. Callers must be running on
-// node's shard (the package invariant: code for node n executes on
-// View(n)).
-func (t *Tracker) deferOn(node int, fn func()) {
-	if t.views == nil {
-		fn()
-		return
-	}
-	t.views[node].Deferred(fn)
-}
-
 // Begin opens a span for an operation of the given kind on obj,
 // starting now, and makes it the node's current operation for stall
 // charging. Returns nil (a valid, inert Op handle) on a nil tracker.
-// The ID is allocated in global order (deferred on a sharded run), so
-// read it only after the run drains.
+// IDs are allocated in Begin order.
 func (t *Tracker) Begin(node int, k Kind, obj int, now sim.Time) *Op {
 	if t == nil {
 		return nil
 	}
-	op := &Op{Node: node, Kind: k, Obj: obj, Start: now}
+	op := &Op{ID: t.nextID, Node: node, Kind: k, Obj: obj, Start: now}
+	t.nextID++
 	t.cur[node] = op
-	t.deferOn(node, func() {
-		op.ID = t.nextID
-		t.nextID++
-	})
 	return op
 }
 
@@ -314,10 +245,6 @@ func (t *Tracker) Detach(node int, op *Op) {
 // trails the last milestone is StageUnblock. Zero-length spans are kept
 // (they are real operations that turned out to be free) so per-kind
 // span counts always equal the protocol's operation counters.
-// End must be called from op.Node's context; the stage computation and
-// the completion-log append run deferred so every milestone — including
-// those remote shards logged in the same window — has been replayed
-// first, and ops stay in sequential completion order.
 func (t *Tracker) End(op *Op, now sim.Time) {
 	if t == nil || op == nil {
 		return
@@ -325,11 +252,6 @@ func (t *Tracker) End(op *Op, now sim.Time) {
 	if t.cur[op.Node] == op {
 		t.cur[op.Node] = nil
 	}
-	t.deferOn(op.Node, func() { t.finish(op, now) })
-}
-
-// finish closes op in globally-ordered context: all marks are in.
-func (t *Tracker) finish(op *Op, now sim.Time) {
 	op.End = now
 	sort.SliceStable(op.marks, func(i, j int) bool { return op.marks[i].t < op.marks[j].t })
 	prev := op.Start

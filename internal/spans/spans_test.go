@@ -15,9 +15,9 @@ import (
 func TestStagePartition(t *testing.T) {
 	tr := NewTracker(1)
 	op := tr.Begin(0, OpReadFault, 7, 100)
-	op.Mark(nil, StageWire, 150)
-	op.Mark(nil, StageQueue, 140)  // recorded later, happened earlier
-	op.Mark(nil, StageRemote, 250) // eager reservation end past the close
+	op.Mark(StageWire, 150)
+	op.Mark(StageQueue, 140)  // recorded later, happened earlier
+	op.Mark(StageRemote, 250) // eager reservation end past the close
 	tr.End(op, 220)
 	if op.Stages[StageQueue] != 40 || op.Stages[StageWire] != 10 || op.Stages[StageRemote] != 70 {
 		t.Errorf("stages = %v", op.Stages)
@@ -34,7 +34,7 @@ func TestStagePartition(t *testing.T) {
 func TestTrailingGapIsUnblock(t *testing.T) {
 	tr := NewTracker(1)
 	op := tr.Begin(0, OpLock, 3, 1000)
-	op.Mark(nil, StageReply, 1400)
+	op.Mark(StageReply, 1400)
 	tr.End(op, 1500)
 	if op.Stages[StageReply] != 400 || op.Stages[StageUnblock] != 100 {
 		t.Errorf("stages = %v", op.Stages)
@@ -63,7 +63,7 @@ func TestNilSafety(t *testing.T) {
 	if op != nil {
 		t.Fatal("nil tracker returned a live op")
 	}
-	op.Mark(nil, StageWire, 10)
+	op.Mark(StageWire, 10)
 	tr.End(op, 20)
 	tr.Detach(0, op)
 	tr.Charge(0, stats.Data, 5, 10)
@@ -187,7 +187,7 @@ func TestJSONLDeterministic(t *testing.T) {
 	build := func() *Tracker {
 		tr := NewTracker(2)
 		a := tr.Begin(0, OpReadFault, 4, 10)
-		a.Mark(nil, StageWire, 30)
+		a.Mark(StageWire, 30)
 		tr.Charge(0, stats.Data, 15, 40)
 		tr.End(a, 40)
 		b := tr.Begin(1, OpBarrier, 0, 20)

@@ -36,19 +36,6 @@ func (r *Reliability) Degraded() bool {
 		r.HeldForOrder != 0 || r.AcksSent != 0 || r.RetryWaitCycles != 0
 }
 
-// Merge adds o into r.
-func (r *Reliability) Merge(o *Reliability) {
-	r.MessagesDropped += o.MessagesDropped
-	r.MessagesDuplicated += o.MessagesDuplicated
-	r.MessagesDelayed += o.MessagesDelayed
-	r.TimeoutsFired += o.TimeoutsFired
-	r.Retries += o.Retries
-	r.DuplicatesDropped += o.DuplicatesDropped
-	r.HeldForOrder += o.HeldForOrder
-	r.AcksSent += o.AcksSent
-	r.RetryWaitCycles += o.RetryWaitCycles
-}
-
 // Table renders the counters in a fixed order (same style as
 // Breakdown.CounterTable).
 func (r *Reliability) Table() string {

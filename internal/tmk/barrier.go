@@ -59,7 +59,7 @@ func (pr *Protocol) Barrier(p *sim.Proc, id int, bar int) {
 		bytes := requestWireBytes + myVTS.WireBytes() + intervalsWireBytes(own, pr.cfg.Processors)
 		n.sendFromProc(p, reasonBarrier, barrierManager, bytes, func() {
 			// Delivery context: the manager's clock, not the sender's.
-			op.Mark(mgr.eng, spans.StageWire, mgr.eng.Now())
+			op.Mark(spans.StageWire, mgr.eng.Now())
 			mgr.barrierArrive(bar, id, myVTS, own)
 		})
 	}
@@ -121,14 +121,14 @@ func (n *pnode) barrierRelease(ivs []*lrc.Interval, globalVTS lrc.VTS, local boo
 	// Everything up to the release landing — shipping the arrival,
 	// waiting for the stragglers, the manager's merge — was remote
 	// service as far as this node's span is concerned.
-	n.barrierOp.Mark(n.eng, spans.StageRemote, n.eng.Now())
+	n.barrierOp.Mark(spans.StageRemote, n.eng.Now())
 	finish := func() {
 		n.integrate(ivs)
 		n.vts.Max(globalVTS)
 		n.lastBarrierVTS = globalVTS.Clone()
 		n.checkVTSRecords("barrierRelease")
 		if n.barrierGate != nil {
-			n.barrierOp.Mark(n.eng, spans.StageController, n.eng.Now())
+			n.barrierOp.Mark(spans.StageController, n.eng.Now())
 			g := n.barrierGate
 			n.barrierGate = nil
 			g.Open(n.eng)

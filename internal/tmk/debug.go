@@ -63,29 +63,17 @@ func (pr *Protocol) SetSpans(tr *spans.Tracker) {
 // emit records a structured protocol event and mirrors it to stdout when
 // TracePage matches. Synchronization events (lock/barrier) carry pg = -1:
 // they are recorded for every tracer but never match a page filter.
-//
-// The ring append goes through the node's engine view: the trace buffer
-// is one global ring whose order (and eviction, once it wraps) must be
-// the sequential emission order, so on a sharded engine the event —
-// fully captured here, in the emitting shard's context — is logged
-// shard-locally and appended during merge-barrier replay in global
-// (time, seq) order. On a sequential engine Deferred is a plain call.
 func (n *pnode) emit(pg int, kind trace.Kind, format string, args ...any) {
 	stdout := pg >= 0 && pg == TracePage
 	if n.pr.tracer == nil && !stdout {
 		return
 	}
 	detail := fmt.Sprintf(format, args...)
-	ev := trace.Event{
-		Time: n.eng.Now(), Node: n.id, Page: pg, Kind: kind, Detail: detail,
+	now := n.eng.Now()
+	n.pr.tracer.Emit(trace.Event{Time: now, Node: n.id, Page: pg, Kind: kind, Detail: detail})
+	if stdout {
+		fmt.Printf("[%10d] n%d pg%d %s %s\n", now, n.id, pg, kind, detail)
 	}
-	tracer := n.pr.tracer
-	n.eng.Deferred(func() {
-		tracer.Emit(ev)
-		if stdout {
-			fmt.Printf("[%10d] n%d pg%d %s %s\n", ev.Time, ev.Node, pg, kind, detail)
-		}
-	})
 }
 
 // tracef keeps the old stdout-only behaviour for ad-hoc prints.

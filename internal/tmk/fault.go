@@ -24,7 +24,7 @@ func (n *pnode) fault(p *sim.Proc, pg int, pe *page, write bool) {
 	p.SleepReason(n.pr.cfg.InterruptTime, reasonInterrupt)
 	if pe.state == stInvalid {
 		n.st.PageFaults++
-		n.profile(pg).Faults++
+		n.pr.profile(pg).Faults++
 		n.emit(pg, trace.KindFault, "read/write miss (pending=%d)", len(pe.pending))
 		pe.uselessStreak = 0 // demand interest: the page is hot again
 		// The span opens after the trap, so its window is exactly the
@@ -44,7 +44,7 @@ func (n *pnode) fault(p *sim.Proc, pg int, pe *page, write bool) {
 			f.gate.Wait(p, reasonFetch)
 			// The whole wait rode a transaction someone else started
 			// (typically a prefetch): attribute it to remote service.
-			op.Mark(n.eng, spans.StageRemote, p.Now())
+			op.Mark(spans.StageRemote, p.Now())
 			n.pr.sp.End(op, p.Now())
 			return
 		}
@@ -54,12 +54,12 @@ func (n *pnode) fault(p *sim.Proc, pg int, pe *page, write bool) {
 	}
 	if write && pe.state == stRO {
 		n.st.WriteFaults++
-		n.profile(pg).WriteFaults++
+		n.pr.profile(pg).WriteFaults++
 		op := n.pr.sp.Begin(n.id, spans.OpWriteFault, pg, p.Now())
 		n.makeWritable(p, pg, pe, op)
 		// Twin setup is completion-side work wherever it ran; anything
 		// the controller path has not already claimed lands here too.
-		op.Mark(n.eng, spans.StageController, p.Now())
+		op.Mark(spans.StageController, p.Now())
 		n.pr.sp.End(op, p.Now())
 	}
 }
@@ -108,7 +108,7 @@ func (n *pnode) makeWritable(p *sim.Proc, pg int, pe *page, op *spans.Op) {
 		n.ctl.Submit(n.eng, &sim.Job{
 			Name: "twin",
 			Run: func() sim.Time {
-				op.Mark(n.eng, spans.StageQueue, n.eng.Now())
+				op.Mark(spans.StageQueue, n.eng.Now())
 				end := n.mem.DMA(cfg.PageSize)
 				base := cfg.CtrlDispatchCost
 				if d := end - n.eng.Now(); d > base {
@@ -248,7 +248,7 @@ func (n *pnode) serveDiffReq(from, pg int, fromSeq int32, isPrefetch bool, op *s
 	cfg := n.pr.cfg
 	// The request is off the wire: everything since the previous
 	// milestone (the issue) was network time.
-	op.Mark(n.eng, spans.StageWire, n.eng.Now())
+	op.Mark(spans.StageWire, n.eng.Now())
 
 	created, createCostWords, createdFromVec := n.flushLocalDiff(pg)
 	var reply []*lrc.Diff
@@ -302,7 +302,7 @@ func (n *pnode) serveDiffReq(from, pg int, fromSeq int32, isPrefetch bool, op *s
 		Name:     "diff-serve",
 		Priority: prio,
 		Run: func() sim.Time {
-			op.Mark(n.eng, spans.StageQueue, n.eng.Now())
+			op.Mark(spans.StageQueue, n.eng.Now())
 			cost := cfg.CtrlDispatchCost
 			if created != nil {
 				if createdFromVec {
@@ -318,7 +318,7 @@ func (n *pnode) serveDiffReq(from, pg int, fromSeq int32, isPrefetch bool, op *s
 			return cost
 		},
 		Done: func() {
-			op.Mark(n.eng, spans.StageRemote, n.eng.Now())
+			op.Mark(spans.StageRemote, n.eng.Now())
 			n.pr.net.SendReliable(n.id, from, bytes, 0, deliver)
 		},
 	}, func() {
@@ -363,7 +363,7 @@ func (n *pnode) receiveDiffReply(pg, owner int, diffs []*lrc.Diff, upToSeq int32
 		n.st.DupMsgsSuppressed++
 		return
 	}
-	f.op.Mark(n.eng, spans.StageReply, n.eng.Now())
+	f.op.Mark(spans.StageReply, n.eng.Now())
 	f.diffs = append(f.diffs, diffs...)
 	if len(diffs) > 0 {
 		if upToSeq > pe.applied[owner] {
@@ -417,7 +417,7 @@ func (n *pnode) applyFetched(pg int, pe *page, f *fetchOp) {
 		totalWords += d.Len()
 		bytes += d.WireBytes(cfg.PageWords())
 		n.st.DiffsApplied++
-		prof := n.profile(pg)
+		prof := n.pr.profile(pg)
 		prof.DiffsApplied++
 		prof.WordsApplied += uint64(d.Len())
 	}
@@ -425,7 +425,7 @@ func (n *pnode) applyFetched(pg int, pe *page, f *fetchOp) {
 	finish := func() {
 		// Local application done: the rest of the operation's window,
 		// if any, is the waiter's wakeup.
-		f.op.Mark(n.eng, spans.StageController, n.eng.Now())
+		f.op.Mark(spans.StageController, n.eng.Now())
 		// The processor snoops the controller's (or its own) writes to
 		// local memory and invalidates stale cached lines.
 		n.mem.InvalidatePage(int64(pg) * int64(cfg.PageSize))
@@ -453,7 +453,7 @@ func (n *pnode) applyFetched(pg int, pe *page, f *fetchOp) {
 		n.st.DiffCycles += cost
 		n.mem.MemTouch(bytes)
 		start, end := n.cpu.Reserve(n.eng, cfg.InterruptTime+cost)
-		f.op.Mark(n.eng, spans.StageQueue, start)
+		f.op.Mark(spans.StageQueue, start)
 		n.eng.At(end, finish)
 	}
 	if !n.ctrlOK() {
@@ -468,7 +468,7 @@ func (n *pnode) applyFetched(pg int, pe *page, f *fetchOp) {
 		Name:     "diff-apply",
 		Priority: prio,
 		Run: func() sim.Time {
-			f.op.Mark(n.eng, spans.StageQueue, n.eng.Now())
+			f.op.Mark(spans.StageQueue, n.eng.Now())
 			n.mem.DMA(bytes)
 			cost := cfg.CtrlDispatchCost
 			if localDiff != nil {

@@ -80,7 +80,7 @@ func (n *pnode) integrate(ivs []*lrc.Interval) {
 			pe.pending = append(pe.pending, lrc.WriteNotice{Page: pg, Owner: iv.Owner, Seq: iv.Seq})
 			if pe.state != stInvalid {
 				pe.state = stInvalid
-				n.profile(pg).Invalidations++
+				n.pr.profile(pg).Invalidations++
 				if pe.prefetchedUnused {
 					pe.prefetchedUnused = false
 					n.st.UselessPrefetch++

@@ -50,7 +50,7 @@ func (pr *Protocol) Lock(p *sim.Proc, id int, lock int) {
 func (n *pnode) homeForward(lock int, req lockReq) {
 	// Request on the home's wire; forwarding hops extend StageWire via
 	// the next milestone's gap.
-	req.op.Mark(n.eng, spans.StageWire, n.eng.Now())
+	req.op.Mark(spans.StageWire, n.eng.Now())
 	lk := n.lock(lock)
 	prev := lk.tail
 	lk.tail = req.from
@@ -100,7 +100,7 @@ func (n *pnode) homeForward(lock int, req lockReq) {
 // now; otherwise the request waits for the node's release (or for its own
 // pending grant to arrive).
 func (n *pnode) receiveLockReq(lock int, req lockReq) {
-	req.op.Mark(n.eng, spans.StageQueue, n.eng.Now())
+	req.op.Mark(spans.StageQueue, n.eng.Now())
 	lk := n.lock(lock)
 	if lk.hasToken && !lk.inCS {
 		lk.hasToken = false
@@ -146,7 +146,7 @@ func (n *pnode) grantLockFromProc(p *sim.Proc, lock int, req lockReq) {
 	// Everything since the request queued here — waiting out the
 	// critical section plus the grant assembly just charged — was
 	// remote service from the acquirer's point of view.
-	req.op.Mark(n.eng, spans.StageRemote, p.Now())
+	req.op.Mark(spans.StageRemote, p.Now())
 }
 
 // hybridDiffs collects the granter's own diffs for the pages its shipped
@@ -194,7 +194,7 @@ func (n *pnode) receiveGrant(lock int, ivs []*lrc.Interval, grantVTS lrc.VTS, pi
 		n.st.DupMsgsSuppressed++
 		return
 	}
-	op.Mark(n.eng, spans.StageReply, n.eng.Now())
+	op.Mark(spans.StageReply, n.eng.Now())
 	cost := n.pr.cfg.InterruptTime + n.listCost(ivs)
 	if len(piggy) > 0 {
 		words := 0
@@ -218,7 +218,7 @@ func (n *pnode) receiveGrant(lock int, ivs []*lrc.Interval, grantVTS lrc.VTS, pi
 		n.applyPiggyback(piggy)
 		lk.hasToken = true
 		lk.inCS = true
-		op.Mark(n.eng, spans.StageController, n.eng.Now())
+		op.Mark(spans.StageController, n.eng.Now())
 		n.emit(-1, trace.KindLock, "acquired lock=%d ivs=%d", lock, len(ivs))
 		lk.gate.Open(n.eng)
 		lk.gate = nil

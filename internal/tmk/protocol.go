@@ -156,12 +156,8 @@ type lockReq struct {
 
 // pnode is the per-node protocol state.
 type pnode struct {
-	id int
-	pr *Protocol
-	// eng is the engine view owning this node: the shard engine on a
-	// parallelized run, the (single) engine otherwise. Every event this
-	// node schedules, every clock it reads, and every gate it opens in
-	// its own execution context goes through this view.
+	id     int
+	pr     *Protocol
 	eng    *sim.Engine
 	mem    *memsys.Node
 	fp     *memsys.FastPath
@@ -169,11 +165,6 @@ type pnode struct {
 	st     *stats.ProcStats
 	proc   *sim.Proc
 	frames *lrc.Frames
-	// profiles[pg] is this node's share of page pg's activity profile
-	// (nil until the node first touches the page), merged across nodes
-	// by PageProfiles (shard-local on a parallel engine, so concurrent
-	// windows never write a shared record).
-	profiles []*stats.PageProfile
 
 	// degraded marks a controller failover: the node has permanently
 	// fallen back to inline software protocol handling (see degrade.go).
@@ -230,6 +221,9 @@ type Protocol struct {
 	nodes []*pnode
 	bars  map[int]*barrier
 	opts  Options
+	// profiles[pg] is page pg's activity profile, nil until the page is
+	// first touched.
+	profiles []*stats.PageProfile
 
 	// tracer, when set, records structured protocol events.
 	tracer *trace.Buffer
@@ -253,14 +247,11 @@ func New(cfg *params.Config, eng *sim.Engine, net *network.Network, mode Mode) *
 		bars: make(map[int]*barrier),
 	}
 	for i := 0; i < cfg.Processors; i++ {
-		// The node's whole memory system and protocol state live on its
-		// engine view — the owning shard when the engine is parallelized.
-		view := eng.View(i)
-		mem := memsys.NewNode(i, cfg, view)
+		mem := memsys.NewNode(i, cfg, eng)
 		n := &pnode{
 			id:             i,
 			pr:             pr,
-			eng:            view,
+			eng:            eng,
 			mem:            mem,
 			fp:             memsys.NewFastPath(mem),
 			st:             &stats.ProcStats{},
@@ -320,41 +311,22 @@ func (pr *Protocol) InstallProc(id int, p *sim.Proc) {
 // NodeStats returns processor id's accounting.
 func (pr *Protocol) NodeStats(id int) *stats.ProcStats { return pr.nodes[id].st }
 
-// profile returns this node's record for a page.
-func (n *pnode) profile(pg int) *stats.PageProfile {
-	p := lrc.PageEntry(&n.profiles, pg)
+// profile returns the activity record for a page.
+func (pr *Protocol) profile(pg int) *stats.PageProfile {
+	p := lrc.PageEntry(&pr.profiles, pg)
 	if *p == nil {
 		*p = &stats.PageProfile{Page: pg}
 	}
 	return *p
 }
 
-// PageProfiles implements stats.PageProfiler: per-page activity merged
-// across all nodes' shares, in page order.
+// PageProfiles implements stats.PageProfiler: per-page activity in page
+// order.
 func (pr *Protocol) PageProfiles() []stats.PageProfile {
-	pages := 0
-	for _, n := range pr.nodes {
-		pages = max(pages, len(n.profiles))
-	}
 	var out []stats.PageProfile
-	for pg := 0; pg < pages; pg++ {
-		var m *stats.PageProfile
-		for _, n := range pr.nodes {
-			if pg >= len(n.profiles) || n.profiles[pg] == nil {
-				continue
-			}
-			p := n.profiles[pg]
-			if m == nil {
-				out = append(out, stats.PageProfile{Page: pg})
-				m = &out[len(out)-1]
-			}
-			m.Faults += p.Faults
-			m.WriteFaults += p.WriteFaults
-			m.Invalidations += p.Invalidations
-			m.DiffsApplied += p.DiffsApplied
-			m.WordsApplied += p.WordsApplied
-			m.Writers |= p.Writers
-			m.Readers |= p.Readers
+	for _, p := range pr.profiles {
+		if p != nil {
+			out = append(out, *p)
 		}
 	}
 	return out
@@ -479,7 +451,7 @@ func (n *pnode) access(p *sim.Proc, addr int64, write bool, size int, commit fun
 	}
 	if write {
 		if n.id < 64 {
-			n.profile(pg).Writers |= 1 << uint(n.id)
+			n.pr.profile(pg).Writers |= 1 << uint(n.id)
 		}
 		commit()
 		if n.writeThrough() || pe.vecLive {
@@ -497,7 +469,7 @@ func (n *pnode) access(p *sim.Proc, addr int64, write bool, size int, commit fun
 		}
 	} else {
 		if n.id < 64 {
-			n.profile(pg).Readers |= 1 << uint(n.id)
+			n.pr.profile(pg).Readers |= 1 << uint(n.id)
 		}
 		n.fp.Read(p, addr, n.st)
 	}
@@ -594,7 +566,7 @@ func (n *pnode) serveCPUSpan(cost sim.Time, op *spans.Op, fn func()) {
 	n.st.Interrupts++
 	total := n.pr.cfg.InterruptTime + cost
 	start, end := n.cpu.Reserve(n.eng, total)
-	op.Mark(n.eng, spans.StageQueue, start)
-	op.Mark(n.eng, spans.StageRemote, end)
+	op.Mark(spans.StageQueue, start)
+	op.Mark(spans.StageRemote, end)
 	n.eng.At(end, fn)
 }

@@ -47,15 +47,15 @@ for d in $(grep -ohE 'go run \./[A-Za-z0-9/_-]+' $docs | awk '{print $3}' | sort
 	fi
 done
 
-# 4. Every flag a documented dsmsim/sweep/metricsdiff/experiment/bench
+# 4. Every flag a documented dsmsim/sweep/metricsdiff/experiment/dsmserve
 # invocation uses must still be registered in that command's main.go
 # (catches stale flag names when a CLI flag is renamed but the docs keep
 # the old spelling).
-for tool in dsmsim sweep metricsdiff experiment bench dsmserve; do
+for tool in dsmsim sweep metricsdiff experiment dsmserve; do
 	# Anchor on a non-flag, non-word char before the tool name so that
-	# "metricsdiff -bench" or "go test -benchtime" never parse as an
-	# invocation of cmd/bench, and stop at # so `make X  # = go
-	# test ...` comments don't leak go-test flags into the scan.
+	# a flag or word merely ending in a tool name never parses as an
+	# invocation, and stop at # so `make X  # = go test ...` comments
+	# don't leak go-test flags into the scan.
 	flags=$(grep -ohE "(^|[^-A-Za-z])$tool [^\`|#]*" $docs |
 		grep -oE ' -[a-z][a-z-]*' | sed 's/^ -//' | sort -u)
 	for f in $flags; do
@@ -67,12 +67,12 @@ for tool in dsmsim sweep metricsdiff experiment bench dsmserve; do
 done
 
 # 5. The reverse of check 4 for the fault-injection, liveness, and
-# parallel-engine surface: these flags are the user-facing contract of
-# the chaos machinery and the sharded engine, so the docs must keep
-# mentioning them (check 4 then verifies the spelling against the CLI
-# registration).
-for f in ctrl-crash ctrl-hang watchdog chaos schema workers bench profile backends \
-	trend snapshot render force-host engine-profile server store; do
+# pipeline surface: these flags are the user-facing contract of the
+# chaos machinery, the experiment pipeline, and the job server, so the
+# docs must keep mentioning them (check 4 then verifies the spelling
+# against the CLI registration).
+for f in ctrl-crash ctrl-hang watchdog chaos schema profile backends \
+	trend snapshot render engine-profile server store; do
 	if ! grep -qE -- "-$f" $docs; then
 		echo "checkdocs: flag -$f is registered in a CLI but never documented" >&2
 		fail=1
